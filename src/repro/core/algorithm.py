@@ -274,6 +274,11 @@ class Algorithm:
         #: evaluate / environmental), read by benchmarks and telemetry.
         self.stage_timings = StageTimings()
 
+    @property
+    def evaluations(self) -> int:
+        """Chromosome evaluations so far, initial population included."""
+        return self._evaluations
+
     # -- one generation -------------------------------------------------------
 
     def step(self) -> None:

@@ -10,6 +10,8 @@ tuples) per point.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -109,6 +111,12 @@ class EpsilonParetoArchive:
     offered is ε-dominated by some archived point, and archived points
     are mutually non-ε-dominated — so the archive size is bounded by
     the objective ranges divided by ε, independent of run length.
+
+    Occupied boxes are mutually non-dominated, so sorted by their
+    axis-0 index their axis-1 indices strictly decrease (a staircase).
+    Two sorted index lists beside the box store let a new box find its
+    dominator, or the contiguous run of boxes it evicts, by bisection:
+    an offer costs O(log K + evicted) index work for K occupied boxes.
     """
 
     def __init__(
@@ -123,8 +131,17 @@ class EpsilonParetoArchive:
             )
         self.epsilons = eps
         self.space = space
-        # box index -> (minimization point, raw point, payload)
-        self._boxes: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, Any]] = {}
+        # box index -> (minimization point, raw point, payload); dict
+        # order is insertion order, which fixes the order of points.
+        # Minimization points are Python floats: the per-offer compares
+        # are scalar, and NumPy scalar overhead would dominate them.
+        self._boxes: dict[
+            tuple[int, int], tuple[list[float], np.ndarray, Any]
+        ] = {}
+        # The staircase: occupied boxes' axis-0 indices (ascending) and
+        # their negated axis-1 indices (ascending as well).
+        self._xs: list[int] = []
+        self._neg_ys: list[int] = []
 
     def __len__(self) -> int:
         return len(self._boxes)
@@ -141,10 +158,6 @@ class EpsilonParetoArchive:
         """Payloads aligned with :attr:`points`."""
         return [payload for _, _, payload in self._boxes.values()]
 
-    def _box(self, fmin: np.ndarray) -> tuple[int, int]:
-        eps = self.epsilons
-        return (int(np.floor(fmin[0] / eps[0])), int(np.floor(fmin[1] / eps[1])))
-
     def update(
         self,
         points: FloatArray,
@@ -160,37 +173,48 @@ class EpsilonParetoArchive:
             raise OptimizationError(
                 f"{len(payloads)} payloads for {pts.shape[0]} points"
             )
-        fmins = self.space.to_minimization(pts)
+        fmins = self.space.to_minimization(pts).tolist()
         for fmin, raw, payload in zip(fmins, pts, payloads):
             self._offer(fmin, raw.copy(), payload)
         return len(self)
 
-    def _offer(self, fmin: np.ndarray, raw: np.ndarray, payload: Any) -> None:
-        box = self._box(fmin)
+    def _offer(self, fmin: list[float], raw: np.ndarray, payload: Any) -> None:
+        f0, f1 = fmin
+        bx = math.floor(f0 / self.epsilons[0])
+        by = math.floor(f1 / self.epsilons[1])
+        box = (bx, by)
         incumbent = self._boxes.get(box)
         if incumbent is not None:
-            inc_fmin = incumbent[0]
-            if (inc_fmin <= fmin).all():
+            i0, i1 = incumbent[0]
+            if i0 <= f0 and i1 <= f1:
                 return  # incumbent Pareto-dominates (or equals) the candidate
-            if not (fmin <= inc_fmin).all():
+            if not (f0 <= i0 and f1 <= i1):
                 # Incomparable within the box: closer to the box corner wins.
                 eps = np.asarray(self.epsilons)
-                corner = np.floor(fmin / eps) * eps
-                if np.linalg.norm(fmin - corner) >= np.linalg.norm(
-                    inc_fmin - corner
+                cand = np.asarray(fmin)
+                corner = np.floor(cand / eps) * eps
+                if np.linalg.norm(cand - corner) >= np.linalg.norm(
+                    np.asarray(incumbent[0]) - corner
                 ):
                     return
             self._boxes[box] = (fmin, raw, payload)
             return
-        # New box: reject if any occupied box dominates it; otherwise
-        # evict every box it dominates.
-        for other, entry in list(self._boxes.items()):
-            if other == box:
-                continue
-            if other[0] <= box[0] and other[1] <= box[1]:
-                return
-            if box[0] <= other[0] and box[1] <= other[1]:
-                del self._boxes[other]
+        # New box.  The occupied box with the largest axis-0 index at
+        # most box[0] has the smallest axis-1 index among those; if it
+        # is at most box[1] it dominates the new box.
+        xs, neg_ys = self._xs, self._neg_ys
+        i = bisect_right(xs, bx)
+        if i and -neg_ys[i - 1] <= by:
+            return
+        # Otherwise evict the boxes with both indices at least the new
+        # box's: from the first axis-0 index >= bx, a contiguous run
+        # while the axis-1 index stays >= by.
+        lo = bisect_left(xs, bx)
+        hi = bisect_right(neg_ys, -by, lo)
+        for other in zip(xs[lo:hi], (-y for y in neg_ys[lo:hi])):
+            del self._boxes[other]
+        xs[lo:hi] = [bx]
+        neg_ys[lo:hi] = [-by]
         self._boxes[box] = (fmin, raw, payload)
 
     def front(self) -> FloatArray:

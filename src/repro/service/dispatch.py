@@ -345,7 +345,7 @@ class DispatchService:
         report = WindowReport(
             index=batch.index, start=batch.start, end=batch.end,
             tasks=batch.count,
-            evaluations=int(algorithm._evaluations),
+            evaluations=algorithm.evaluations,
             front_points=points,
             chosen_energy=float(points[sel, 0]),
             chosen_utility=float(points[sel, 1]),
@@ -408,8 +408,9 @@ class DispatchService:
         ).inc(report.tasks)
         metrics.gauge(
             "service_queue_depth",
-            help="tasks buffered at the latest window close",
-        ).set(report.tasks)
+            help="committed tasks still on the horizon (ledger backlog) "
+            "after the latest window",
+        ).set(self.ledger.active)
         metrics.gauge(
             "service_throughput_tasks_per_second",
             help="dispatched tasks per wall-clock second, lifetime",

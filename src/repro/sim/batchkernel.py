@@ -282,7 +282,11 @@ class BatchQueueKernel:
     Bound to one evaluator's precomputed arrays (duck-typed: needs
     ``_etc_flat``, ``_eec_flat``, ``_arrivals``, ``_task_types``,
     ``_tuf_table``, ``_queue_groups``, ``_num_queues``,
-    ``num_machines``, ``num_tasks``).
+    ``num_machines``, ``num_tasks``).  The arrays are bound at
+    construction and the evaluator itself is not kept: an evaluator
+    owns its kernel, so a back-reference would put every evaluator in
+    a reference cycle and keep it (with its scratch pools) alive until
+    a cyclic garbage collection happens to run.
 
     Parameters
     ----------
@@ -305,7 +309,11 @@ class BatchQueueKernel:
         prefix_slots_log2: int = 19,
         prefix_stride: int = 0,
     ) -> None:
-        self.ev = ev
+        self._etc_flat = ev._etc_flat
+        self._eec_flat = ev._eec_flat
+        self._arrivals = ev._arrivals
+        self._task_types = ev._task_types
+        self._tuf_table = ev._tuf_table
         self.use_cache = bool(use_cache)
         self.prefix_stride = int(prefix_stride)
         if self.prefix_stride < 0:
@@ -586,7 +594,6 @@ class BatchQueueKernel:
         """
         from repro.sim.evaluator import _KernelScratch, _queue_order
 
-        ev = self.ev
         stride = self.prefix_stride if self.use_cache else 0
         elem_miss = miss_seg[seg]
         idx = np.flatnonzero(elem_miss)
@@ -674,8 +681,8 @@ class BatchQueueKernel:
 
         stask = sidx2 % self.T
         lin = stask * np.int64(self.M) + flat_m[sidx2]
-        e_exec = ev._etc_flat[lin]
-        arr = ev._arrivals[stask]
+        e_exec = self._etc_flat[lin]
+        arr = self._arrivals[stask]
 
         has_suffix = lens2 > 0
         Lmax = int(lens2.max()) if ns else 0
@@ -711,11 +718,11 @@ class BatchQueueKernel:
             F = np.add(runmax, cs, out=cs_prev)
             f_elem = F.reshape(-1)[flat_ix]
             elapsed = f_elem - arr
-            u_elem = ev._tuf_table.evaluate(ev._task_types[stask], elapsed)
+            u_elem = self._tuf_table.evaluate(self._task_types[stask], elapsed)
             U_pad.reshape(-1)[flat_ix] = u_elem
             U_pad[:, 0] += seed_u * has_suffix
             Uc = np.cumsum(U_pad, axis=1, out=U_pad)
-            E2.reshape(-1)[flat_ix] = ev._eec_flat[lin]
+            E2.reshape(-1)[flat_ix] = self._eec_flat[lin]
             E2[:, 0] += seed_e * has_suffix
             Ec = np.cumsum(E2, axis=1, out=E2)
             last_ix = np.arange(nsm, dtype=np.int64) * np.int64(Lmax)

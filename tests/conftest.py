@@ -12,6 +12,8 @@ Fixture tiers:
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,19 @@ def small_trace() -> Trace:
 def small_evaluator(small_system, small_trace) -> ScheduleEvaluator:
     """Evaluator over the small fixtures."""
     return ScheduleEvaluator(small_system, small_trace)
+
+
+@pytest.fixture
+def gc_disabled():
+    """Cyclic garbage collection off for the test: an object that is
+    freed anyway was freed on its reference count alone."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def random_allocation(

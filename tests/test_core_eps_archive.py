@@ -47,6 +47,135 @@ class TestEpsilonParetoArchive:
         assert len(archive) <= (1.0 / 0.1 + 1) ** 2
 
 
+class _LinearScanArchive(EpsilonParetoArchive):
+    """Oracle: the archive as a plain scan — NumPy box arithmetic, and
+    a new box checked against every occupied box in a Python loop."""
+
+    def _offer(self, fmin, raw, payload):
+        fmin = np.asarray(fmin, dtype=np.float64)
+        eps = np.asarray(self.epsilons)
+        box = (int(np.floor(fmin[0] / eps[0])),
+               int(np.floor(fmin[1] / eps[1])))
+        incumbent = self._boxes.get(box)
+        if incumbent is not None:
+            inc_fmin = incumbent[0]
+            if (inc_fmin <= fmin).all():
+                return
+            if not (fmin <= inc_fmin).all():
+                corner = np.floor(fmin / eps) * eps
+                if np.linalg.norm(fmin - corner) >= np.linalg.norm(
+                    inc_fmin - corner
+                ):
+                    return
+            self._boxes[box] = (fmin, raw, payload)
+            return
+        for other in list(self._boxes):
+            if other[0] <= box[0] and other[1] <= box[1]:
+                return
+            if box[0] <= other[0] and box[1] <= other[1]:
+                del self._boxes[other]
+        self._boxes[box] = (fmin, raw, payload)
+
+
+def _offer_stream(rng, eps, n_updates, archive):
+    """Batches of (energy, utility) points mixing every offer shape the
+    staircase has to handle (*archive* is read to aim evicting offers)."""
+    seen = np.empty((0, 2))
+    for _ in range(n_updates):
+        kind = rng.integers(7)
+        n = int(rng.integers(1, 6))
+        if kind == 0 or seen.shape[0] == 0:
+            # Continuous points straddling zero on both axes.
+            pts = rng.uniform(-4.0, 4.0, size=(n, 2))
+        elif kind == 1:
+            # Exactly on box edges (integer multiples of ε).
+            pts = rng.integers(-12, 12, size=(n, 2)) * np.asarray(eps)
+        elif kind == 2:
+            # Duplicates of earlier offers.
+            pts = seen[rng.integers(seen.shape[0], size=n)]
+        elif kind == 3:
+            # Same box as an earlier offer, elsewhere inside it.
+            base = seen[rng.integers(seen.shape[0], size=n)]
+            corner = np.floor(base / eps) * eps
+            pts = corner + rng.uniform(0.0, 1.0, size=(n, 2)) * eps
+        elif kind == 4 and len(archive) >= 3:
+            # The energy of one archived point with the utility of
+            # another further along the front: a single offer whose
+            # box evicts every box between the two.
+            front = archive.front()
+            i = int(rng.integers(front.shape[0] - 2))
+            j = int(rng.integers(i + 2, front.shape[0]))
+            pts = np.array([[front[i, 0], front[j, 1]]])
+        elif kind == 5:
+            # Two incomparable points mirrored inside one box, so they
+            # tie on distance to the box corner (exactly, for dyadic ε).
+            base = seen[rng.integers(seen.shape[0])]
+            fmin = np.array([base[0], -base[1]])
+            corner = np.floor(fmin / eps) * eps
+            a, b = rng.integers(0, 8, size=2) / 64.0
+            mins = corner + np.array([[a, b], [b, a]])
+            pts = np.column_stack([mins[:, 0], -mins[:, 1]])
+        else:
+            # A tight diagonal band: many mutually incomparable boxes.
+            t = rng.uniform(-3.0, 3.0, size=n)
+            pts = np.column_stack([t, t + rng.normal(0.0, 0.1, size=n)])
+        seen = np.vstack([seen, pts])
+        yield pts
+
+
+class TestStaircaseMatchesLinearScan:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_identical_archive_after_every_update(self, seed):
+        rng = np.random.default_rng(seed)
+        eps = (0.5, 0.25) if seed % 2 else (0.3, 0.3)
+        fast = EpsilonParetoArchive(eps)
+        oracle = _LinearScanArchive(eps)
+        multi_evictions = 0
+        for step, pts in enumerate(_offer_stream(rng, eps, 300, oracle)):
+            payloads = [(step, j) for j in range(pts.shape[0])]
+            before = len(fast)
+            assert fast.update(pts, payloads) == oracle.update(pts, payloads)
+            if pts.shape[0] == 1 and len(fast) <= before - 2:
+                multi_evictions += 1
+            assert len(fast) == len(oracle)
+            np.testing.assert_array_equal(fast.points, oracle.points)
+            assert fast.payloads == oracle.payloads
+            # The staircase: box indices sorted on axis 0 strictly
+            # increase there and strictly decrease on axis 1.
+            boxes = sorted(fast._boxes)
+            xs = [b[0] for b in boxes]
+            ys = [b[1] for b in boxes]
+            assert all(a < b for a, b in zip(xs, xs[1:]))
+            assert all(a > b for a, b in zip(ys, ys[1:]))
+            assert fast._xs == xs
+            assert fast._neg_ys == [-y for y in ys]
+        assert multi_evictions > 0
+
+    def test_negative_box_indices_and_edge_points(self):
+        fast = EpsilonParetoArchive((1.0, 1.0))
+        oracle = _LinearScanArchive((1.0, 1.0))
+        # Minimization coordinates are (energy, -utility): an edge
+        # point sits exactly on a box corner, below zero on both axes.
+        pts = np.array([[-2.0, 3.0], [-1.0, 5.0], [0.0, 7.0],
+                        [-3.0, 1.0], [-2.0, 3.0], [-5.0, 9.0]])
+        for row in pts:
+            fast.update(row[None, :], [tuple(row)])
+            oracle.update(row[None, :], [tuple(row)])
+            np.testing.assert_array_equal(fast.points, oracle.points)
+            assert fast.payloads == oracle.payloads
+        # The last point's box dominates every other box.
+        assert len(fast) == 1
+        assert fast.payloads == [(-5.0, 9.0)]
+
+    def test_same_box_tie_keeps_incumbent(self):
+        archive = EpsilonParetoArchive((1.0, 1.0))
+        # Minimization points (0.25, 0.5) and (0.5, 0.25): one box,
+        # incomparable, equally far from its corner.
+        archive.update(np.array([[0.25, -0.5]]), ["first"])
+        archive.update(np.array([[0.5, -0.25]]), ["second"])
+        assert archive.payloads == ["first"]
+
+
 class TestEpsilonArchiveNSGA2:
     def make_engine(self, evaluator, rng=0, pop=16, epsilon=1e-3):
         return EpsilonArchiveNSGA2(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -176,6 +177,26 @@ class TestDispatchService:
             ServiceConfig(archive_epsilon_rel=0.0)
 
 
+class TestWindowLifetime:
+    def test_window_evaluator_freed_on_refcount(self, small_system,
+                                                gc_disabled):
+        """A window's evaluator is kept only as the next window's
+        kernel donor; once later windows have run it is freed with
+        cyclic garbage collection off, so per-window memory does not
+        pile up."""
+        service = DispatchService(small_system, small_config())
+        windows = list(stream_for(small_system).windows(4))
+        service.process_window(windows[0])
+        window_ev = service._prev_evaluator
+        assert window_ev is not None and window_ev.batch.index == 0
+        refs = [weakref.ref(window_ev),
+                weakref.ref(window_ev.horizon_evaluator)]
+        del window_ev
+        for batch in windows[1:3]:
+            service.process_window(batch)
+        assert [ref() for ref in refs] == [None, None]
+
+
 class TestServiceObservability:
     def test_metrics_and_spans_recorded(self, small_system, tmp_path):
         obs = RunContext.create(obs_dir=tmp_path, run_id="svc-test")
@@ -194,6 +215,10 @@ class TestServiceObservability:
         ):
             assert name in metrics, name
         assert metrics["service_reuse_rate"]["value"] > 0
+        # Queue depth is the ledger backlog, not the last window's size.
+        assert metrics["service_queue_depth"]["value"] == service.ledger.active
+        assert (metrics["service_queue_depth"]["value"]
+                != service.reports[-1].tasks)
 
         spans = [
             json.loads(line)

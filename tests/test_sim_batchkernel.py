@@ -19,6 +19,8 @@ priorities, degenerate and large populations, huge order keys) target
 the kernel's padding, segment bookkeeping, and hash fallbacks.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -420,6 +422,30 @@ class TestMakespanBatchKernel:
         with pytest.raises(ScheduleError, match="kernel_method"):
             MakespanEnergyEvaluator(small_system, small_trace,
                                     kernel_method="reference")
+
+
+# -- lifetime -------------------------------------------------------------------
+
+
+class TestFreedOnRefcount:
+    """The kernel binds the evaluator's arrays, not the evaluator, so
+    evaluator and kernel form no reference cycle: a dropped evaluator
+    (and its scratch pools) is freed at once, not at the next cyclic
+    collection."""
+
+    @pytest.mark.parametrize("cls", [ScheduleEvaluator,
+                                     MakespanEnergyEvaluator])
+    def test_dropped_evaluator_is_freed(self, cls, small_system,
+                                        small_trace, gc_disabled):
+        ev = cls(small_system, small_trace, kernel_method="batch")
+        ev.evaluate_batch(*make_batch(small_system, small_trace, 8, 40))
+        kernel = ev._batch_kernel
+        assert all(value is not ev for value in vars(kernel).values())
+        ev_ref = weakref.ref(ev)
+        kernel_ref = weakref.ref(kernel)
+        del ev, kernel
+        assert ev_ref() is None
+        assert kernel_ref() is None
 
 
 # -- experiment config plumbing -----------------------------------------------
