@@ -75,7 +75,7 @@ class ServiceConfig:
         *cumulative* energy fits, falling back to the min-energy point
         (flagged in the report) when none does.  ``None`` = argmax
         utility, unconstrained.
-    kernel_method, cache_size, prefix_stride:
+    kernel_method, cache_size:
         Horizon evaluator configuration; the batch kernel is what makes
         cross-window queue-state reuse possible.
     compact_every:
@@ -100,7 +100,6 @@ class ServiceConfig:
     energy_budget: Optional[float] = None
     kernel_method: str = DEFAULT_KERNEL_METHOD
     cache_size: int = DEFAULT_CACHE_SIZE
-    prefix_stride: int = 0
     compact_every: int = 8
     archive_epsilon_rel: float = 1e-3
     seed: int = 2013
@@ -287,7 +286,6 @@ class DispatchService:
             self.system, self.ledger, batch,
             kernel_method=cfg.kernel_method,
             cache_size=cfg.cache_size,
-            prefix_stride=cfg.prefix_stride,
             obs=self.obs,
             reuse_from=self._prev_evaluator if cfg.kernel_reuse else None,
         )

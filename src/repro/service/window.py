@@ -12,10 +12,11 @@ free tasks — with the committed genes frozen in every chromosome:
   committed tasks sort strictly before free tasks in every machine
   queue and their queue prefix is **identical across the whole
   population, across generations, and across windows**.
-* That identical prefix is exactly what the batch kernel's
-  content-fingerprint caches key on: with the previous window's kernel
+* Queue content is exactly what the batch kernel's
+  content-fingerprint cache keys on: with the previous window's kernel
   state adopted (:meth:`~repro.sim.evaluator.ScheduleEvaluator.adopt_kernel_state`),
-  committed prefixes hit the cache instead of being re-folded.
+  queues that hold only committed tasks hit the cache instead of being
+  re-folded.
 * Because committed tasks occupy the head of their queues, their
   finish times, energies, and utilities are *constants* with respect
   to the free genes — the committed contribution shifts every
@@ -251,7 +252,6 @@ class WindowEvaluator:
         batch: "WindowBatch",
         kernel_method: str = "batch",
         cache_size: int = DEFAULT_CACHE_SIZE,
-        prefix_stride: int = 0,
         obs: Optional["RunContext"] = None,
         reuse_from: Optional["WindowEvaluator"] = None,
     ) -> None:
@@ -277,7 +277,6 @@ class WindowEvaluator:
             check_feasibility=False,
             kernel_method=kernel_method,
             cache_size=cache_size,
-            prefix_stride=prefix_stride,
             obs=obs,
         )
         self.kernel_adopted = False

@@ -20,11 +20,12 @@ left fold) the finish time of the *j*-th queued task is::
 
 which this kernel evaluates with one ``cumsum`` and one
 ``maximum.accumulate`` over a padded ``(queues, max_len)`` matrix.
-Per-queue utility and energy are sequential left folds in queue order;
+Per-queue utility and energy are sequential left folds in queue order,
+taken as one column reduce over a ``(2, max_len, queues)`` plane;
 per-chromosome totals are left folds over ascending queue id.  Every
 fold is queue-content-deterministic — a queue's numbers depend only on
 its own ordered content, never on the rest of the batch — which is what
-makes cached continuation exact: results are bit-identical with the
+makes cached queue states exact: results are bit-identical with the
 cache on, off, across checkpoint resume, and across serial/parallel
 execution.  :func:`batch_reference_row` restates the same folds as
 scalar Python loops and is the exactness oracle for this kernel
@@ -33,30 +34,21 @@ last float bits from the ``fast``/``reference`` kernels (different but
 equally valid summation associations); batch modes are pinned to *this*
 oracle, not to those kernels.
 
-Reuse tiers
------------
-1. **Full-queue states.**  Each queue's content is fingerprinted with a
-   *commutative* 64-bit hash (a mod-2⁶⁴ sum of per-element mixes), so
-   the fingerprint needs no sort — the composite-key sort runs only
-   over elements of queues that miss.  The :class:`QueueStateTable`
-   maps fingerprints to the queue's ``(utility, energy, final
-   finish)`` folds.
-2. **Prefix resume** (optional, default off — see
-   :data:`PREFIX_ANCHOR_STRIDE`).  Elements of missed queues are
-   sorted into queue order and rolling positional hashes are probed at
-   anchor positions (every *prefix_stride*-th element); the longest
-   cached prefix seeds
-   the left folds (``cs`` / running max / utility / energy) so only
-   the suffix is recomputed.  Seeding preserves the exact sequential
-   fold, so partial reuse is also bit-identical.
+Queue-state reuse
+-----------------
+Each queue's content is fingerprinted with a *commutative* 64-bit hash
+— a wrapping mod-2⁶⁴ sum of per-element mixes, one scatter-add — so the
+fingerprint needs no sort; the composite-key sort runs only over
+elements of queues that miss.  The :class:`QueueStateTable` maps
+fingerprints to the queue's ``(utility, energy, final finish)`` folds.
 
 Hash collisions would silently reuse a wrong state; keys carry 64
-hashed bits plus the queue id and (prefix) length as a separate check
-word, so two distinct contents collide with probability ~2⁻⁶⁴ per
-pair — across the ~10⁶ lookup/entry pairs of a long run the chance of
-even one collision is below 10⁻⁷, far under the hardware soft-error
-rate, and any collision is confined to one run (fingerprints never
-leave the process).
+hashed bits plus the queue id and length as a separate check word, so
+two distinct contents collide with probability ~2⁻⁶⁴ per pair — across
+the ~10⁶ lookup/entry pairs of a long run the chance of even one
+collision is below 10⁻⁷, far under the hardware soft-error rate, and
+any collision is confined to one run (fingerprints never leave the
+process).
 """
 
 from __future__ import annotations
@@ -68,9 +60,7 @@ import numpy as np
 __all__ = [
     "BatchQueueKernel",
     "QueueStateTable",
-    "PrefixStateTable",
     "batch_reference_row",
-    "PREFIX_ANCHOR_STRIDE",
 ]
 
 U64 = np.uint64
@@ -78,18 +68,6 @@ _MIX1 = U64(0xFF51AFD7ED558CCD)
 _MIX2 = U64(0xC4CEB9FE1A85EC53)
 _PHI = U64(0x9E3779B97F4A7C15)
 _S32 = U64(32)
-_LO32 = U64(0xFFFFFFFF)
-
-#: Anchor spacing used when the prefix-resume tier is enabled.  Denser
-#: anchors raise partial reuse but cost more probes and inserts.  The
-#: tier itself defaults to *off* (``prefix_stride=0``): on all bundled
-#: datasets its anchor-table traffic costs more wall-clock than the
-#: fold work it skips (fig. 3 scale: ~2.8 vs ~2.5 ms/generation;
-#: dataset3: ~120 vs ~87 ms/step) even though it raises element-level
-#: reuse by ~5-13 points.  It pays off only when per-element fold work
-#: dwarfs a hash-table probe — e.g. much longer queues or a costlier
-#: utility model — so the capability stays, measured and switchable.
-PREFIX_ANCHOR_STRIDE = 8
 
 #: Fixed seed for the per-symbol hash tables: fingerprints must agree
 #: across processes and resumed runs.  (They never change *results* —
@@ -118,16 +96,26 @@ def _odd_random_u64(n: int, stream: int) -> np.ndarray:
 def _segment_key_sums(h: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
     """Commutative per-segment sums of uint64 hashes, exact mod 2**64.
 
-    ``bincount`` only takes float64 weights, so the sum runs over the
-    32-bit halves separately: each half-sum stays below 2**53 for any
-    segment shorter than ~2**20 elements, hence exact, and the halves
-    recombine with wrapping uint64 arithmetic.
+    uint64 addition wraps, so one unbuffered scatter-add is exact for
+    any segment length.
     """
-    lo = (h & _LO32).astype(np.float64)
-    hi = (h >> _S32).astype(np.float64)
-    slo = np.bincount(seg, weights=lo, minlength=n_seg)
-    shi = np.bincount(seg, weights=hi, minlength=n_seg)
-    return slo.astype(U64) + (shi.astype(U64) << _S32)
+    out = np.zeros(n_seg, dtype=U64)
+    np.add.at(out, seg, h)
+    return out
+
+
+def _column_left_folds(plane: np.ndarray) -> np.ndarray:
+    """Per-column left folds from +0.0 down axis 1 of a ``(k, L, W)`` plane.
+
+    Reducing along a non-innermost axis, NumPy adds whole rows in turn:
+    ``((0.0 + p[0]) + p[1]) + …`` per column — the scalar left fold,
+    never a pairwise sum.  That holds only while the column axis stays
+    the inner loop: with ``W == 1`` NumPy drops the unit axis and sums
+    the reduced axis pairwise, so callers pad to ``W >= 2``.
+    """
+    if plane.shape[2] < 2:
+        raise ValueError(f"plane needs >= 2 columns; got {plane.shape[2]}")
+    return np.add.reduce(plane, axis=1, initial=0.0)
 
 
 class _OpenAddressTable:
@@ -269,15 +257,8 @@ class QueueStateTable(_OpenAddressTable):
         }
 
 
-class PrefixStateTable(_OpenAddressTable):
-    """Queue-prefix states: positional key → (runmax, cs, u_cum, e_cum)."""
-
-    def __init__(self, n_slots_log2: int = 19) -> None:
-        super().__init__(n_slots_log2, n_values=4)
-
-
 class BatchQueueKernel:
-    """Population-at-once evaluation with two-tier queue-state reuse.
+    """Population-at-once evaluation with queue-state reuse.
 
     Bound to one evaluator's precomputed arrays (duck-typed: needs
     ``_etc_flat``, ``_eec_flat``, ``_arrivals``, ``_task_types``,
@@ -291,14 +272,11 @@ class BatchQueueKernel:
     Parameters
     ----------
     use_cache:
-        ``False`` disables both reuse tiers (the ``cache_size=0``
+        ``False`` disables queue-state reuse (the ``cache_size=0``
         configuration): every queue is recomputed each call.  Results
         are bit-identical either way.
-    queue_slots_log2 / prefix_slots_log2:
-        log₂ table sizes; each table clears itself at half load.
-    prefix_stride:
-        Anchor spacing for the prefix-resume tier; ``0`` disables it
-        (the full-queue tier still applies).
+    queue_slots_log2:
+        log₂ table size; the table clears itself at half load.
     """
 
     def __init__(
@@ -306,8 +284,6 @@ class BatchQueueKernel:
         ev,
         use_cache: bool = True,
         queue_slots_log2: int = 18,
-        prefix_slots_log2: int = 19,
-        prefix_stride: int = 0,
     ) -> None:
         self._etc_flat = ev._etc_flat
         self._eec_flat = ev._eec_flat
@@ -315,17 +291,12 @@ class BatchQueueKernel:
         self._task_types = ev._task_types
         self._tuf_table = ev._tuf_table
         self.use_cache = bool(use_cache)
-        self.prefix_stride = int(prefix_stride)
-        if self.prefix_stride < 0:
-            raise ValueError(
-                f"prefix_stride must be >= 0; got {prefix_stride}"
-            )
         self.M = int(ev.num_machines)
         self.T = int(ev.num_tasks)
         self.Mq = int(ev._num_queues)
         self.qg = np.ascontiguousarray(ev._queue_groups, dtype=np.int64)
-        self.queue_table = QueueStateTable(queue_slots_log2)
-        self.prefix_table = PrefixStateTable(prefix_slots_log2)
+        self._queue_slots_log2 = queue_slots_log2
+        self._queue_table: Optional[QueueStateTable] = None
         # Per-symbol hash tables: symbol = task_index * M + machine
         # (machines sharing a DVFS queue still hash apart — their ETC
         # columns differ); order keys go through a second table when
@@ -333,13 +304,6 @@ class BatchQueueKernel:
         self._r_sym = _odd_random_u64(self.T * self.M, stream=1)
         self._ord_cap = max(1024, 4 * self.T)
         self._r_ord = _odd_random_u64(self._ord_cap, stream=2)
-        # Rolling-hash base powers for positional prefix keys.
-        pow_b = np.empty(self.T + 1, dtype=U64)
-        pow_b[0] = U64(1)
-        base = (_MIX2 << U64(1)) | U64(1)
-        np.multiply.accumulate(np.full(self.T, base, dtype=U64),
-                               out=pow_b[1:])
-        self._pow_b = pow_b
         # Grow-only scratch, keyed by element capacity.
         self._cap = 0
         self._rows_mq: Optional[np.ndarray] = None
@@ -348,15 +312,28 @@ class BatchQueueKernel:
         self._u64 = [np.empty(0, dtype=U64) for _ in range(2)]
         self._i64 = [np.empty(0, dtype=np.int64) for _ in range(2)]
         self._sort_scratch = None
-        # Grow-only flat pools for the padded (queues × Lmax) fold
-        # matrices — fresh MB-scale allocations would pay first-touch
-        # page faults every call (see _KernelScratch in the evaluator).
-        self._pad_cap = 0
-        self._pads = [np.empty(0) for _ in range(5)]
+        # Grow-only flat pool for the padded fold planes — fresh
+        # MB-scale allocations would pay first-touch page faults every
+        # call (see _KernelScratch in the evaluator).
+        self._pad = np.empty(0)
         # Reuse statistics (lifetime + last batch).
         self.last_batch: dict = {}
         self.elements_total = 0
         self.elements_reused = 0
+
+    @property
+    def queue_table(self) -> QueueStateTable:
+        """The queue-state table, built on first use.
+
+        The online service builds one evaluator per window and adopts
+        the previous window's table into it at once; a table built
+        eagerly would be allocated and dropped every window, and that
+        churn of MB-sized buffers moves glibc's dynamic mmap threshold
+        enough to raise the service's peak RSS by ~7 MB on some seeds.
+        """
+        if self._queue_table is None:
+            self._queue_table = QueueStateTable(self._queue_slots_log2)
+        return self._queue_table
 
     # -- scratch -----------------------------------------------------------
 
@@ -413,8 +390,6 @@ class BatchQueueKernel:
     def stats(self) -> dict:
         """Queue-reuse counters: table stats + element-level reuse."""
         s = self.queue_table.stats
-        s["prefix_hits"] = self.prefix_table.hits
-        s["prefix_misses"] = self.prefix_table.misses
         s["elements_total"] = self.elements_total
         s["elements_reused"] = self.elements_reused
         s["reuse_rate"] = (
@@ -424,17 +399,16 @@ class BatchQueueKernel:
         return s
 
     def clear(self) -> None:
-        """Drop all cached queue and prefix states."""
+        """Drop all cached queue states."""
         self.queue_table.clear()
-        self.prefix_table.clear()
 
     def adopt_state(self, other: "BatchQueueKernel") -> None:
-        """Take over *other*'s cached queue/prefix state and counters.
+        """Take over *other*'s cached queue states and counters.
 
         Supports the online service's cross-window evaluator reuse: a
         window's evaluator is rebuilt over a longer (append-only) trace,
         but every cached state of the previous kernel remains valid for
-        the new one — so the tables transfer wholesale instead of
+        the new one — so the table transfers wholesale instead of
         starting cold.  Validity rests on content fingerprints being a
         pure function of ``(task_index, machine, order_key)`` elements,
         which the per-symbol hash streams guarantee as long as they are
@@ -443,7 +417,6 @@ class BatchQueueKernel:
         * ``_r_sym``/``_r_ord`` are fixed-seed PCG64 draws over a
           power-of-two range (one 64-bit word per value, no rejection),
           so a longer stream extends the shorter one; asserted below.
-        * ``_pow_b`` is a running product of a constant base.
         * The check word ``(queue_len << 20) | queue_id`` and the
           Fibonacci slot hash do not depend on the trace length.
 
@@ -469,13 +442,10 @@ class BatchQueueKernel:
                 f"cannot adopt state from a larger trace ({other.T} tasks) "
                 f"into a smaller one ({self.T}); carryover is append-only"
             )
-        if (
-            other.use_cache != self.use_cache
-            or other.prefix_stride != self.prefix_stride
-        ):
+        if other.use_cache != self.use_cache:
             raise ScheduleError(
                 "cannot adopt kernel state across different cache "
-                "configurations (use_cache/prefix_stride must match)"
+                "configurations (use_cache must match)"
             )
         # Prefix stability of the hash streams — cheap (a vectorized
         # compare over at most T*M words) and load-bearing: a numpy
@@ -493,8 +463,7 @@ class BatchQueueKernel:
                 "order-key hash stream is not prefix-stable; refusing to "
                 "adopt cached queue states"
             )
-        self.queue_table = other.queue_table
-        self.prefix_table = other.prefix_table
+        self._queue_table = other.queue_table
         self.elements_total = other.elements_total
         self.elements_reused = other.elements_reused
 
@@ -554,24 +523,21 @@ class BatchQueueKernel:
         self.queue_table.hits += n_hits
         self.queue_table.misses += n_miss
 
-        resumed = 0
         if n_miss:
-            resumed = self._compute_misses(
-                miss_seg, seg, flat_m, flat_o, h, lens, k, check,
-                uq, eq, fq,
+            self._compute_misses(
+                miss_seg, seg, sym, flat_o, lens, k, check, uq, eq, fq
             )
 
         self.elements_total += n
-        self.elements_reused += hit_elems + resumed
+        self.elements_reused += hit_elems
         self.last_batch = {
             "rows": N,
             "elements": n,
             "queues": int(np.count_nonzero(nonempty)),
             "queue_hits": n_hits,
             "queue_misses": n_miss,
-            "elements_reused": hit_elems + resumed,
-            "elements_resumed": resumed,
-            "reuse_rate": (hit_elems + resumed) / n if n else 0.0,
+            "elements_reused": hit_elems,
+            "reuse_rate": hit_elems / n if n else 0.0,
         }
 
         # Per-row totals: left fold over ascending queue id (empty
@@ -584,25 +550,21 @@ class BatchQueueKernel:
     # -- miss path ---------------------------------------------------------
 
     def _compute_misses(
-        self, miss_seg, seg, flat_m, flat_o, h, lens, k, check, uq, eq, fq
-    ) -> int:
-        """Sort, prefix-resume, and fold every missed queue.
+        self, miss_seg, seg, sym, flat_o, lens, k, check, uq, eq, fq
+    ) -> None:
+        """Sort and fold every missed queue.
 
         Fills ``uq``/``eq`` (and ``fq``) at missed segments and inserts
-        the new states; returns the number of elements skipped through
-        prefix resume.
+        the new states.
         """
         from repro.sim.evaluator import _KernelScratch, _queue_order
 
-        stride = self.prefix_stride if self.use_cache else 0
-        elem_miss = miss_seg[seg]
-        idx = np.flatnonzero(elem_miss)
+        idx = np.flatnonzero(miss_seg[seg])
         ns = idx.size
         sseg = seg[idx]
-        sord = flat_o[idx]
         if self._sort_scratch is None:
             self._sort_scratch = _KernelScratch()
-        perm = _queue_order(sseg, sord, self._sort_scratch)
+        perm = _queue_order(sseg, flat_o[idx], self._sort_scratch)
         sidx = idx[perm]
         sseg = sseg[perm]
 
@@ -616,128 +578,50 @@ class BatchQueueKernel:
         np.cumsum(lens_m[:-1], out=starts[1:])
         pos = np.arange(ns, dtype=np.int64) - starts[segc]
 
-        # Seeds: identity folds unless a cached prefix overrides them.
-        seed_rm = np.full(nsm, -np.inf)
-        seed_cs = np.zeros(nsm)
-        seed_u = np.zeros(nsm)
-        seed_e = np.zeros(nsm)
-        resume = np.zeros(nsm, dtype=np.int64)
-        resumed_elems = 0
-
-        if stride:
-            # Positional rolling hash: H_p = Σ_{i<=p} h_i · B^pos_i,
-            # segment-relative via mod-2⁶⁴ offset subtraction (exact).
-            hp = h[sidx] * self._pow_b[pos]
-            cum = np.cumsum(hp.view(np.int64)).view(U64)
-            seg_off = np.zeros(nsm, dtype=U64)
-            seg_off[1:] = cum[starts[1:] - 1]
-            hrel = cum - seg_off[segc]
-            qid_m = (miss_ids % self.Mq)
-            anchor = (pos % stride) == (stride - 1)
-            a_idx = np.flatnonzero(anchor)
-            if a_idx.size:
-                a_check = (
-                    ((pos[a_idx] + 1) << np.int64(20)) | qid_m[segc[a_idx]]
-                ).view(U64)
-                p_found, p_slots = self.prefix_table.lookup(
-                    hrel[a_idx], a_check
-                )
-                self.prefix_table.hits += int(np.count_nonzero(p_found))
-                self.prefix_table.misses += int(
-                    a_idx.size - np.count_nonzero(p_found)
-                )
-                if p_found.any():
-                    f_idx = a_idx[p_found]
-                    f_slot = p_slots[p_found]
-                    # Longest hit per segment wins.
-                    best_len = np.zeros(nsm, dtype=np.int64)
-                    np.maximum.at(best_len, segc[f_idx], pos[f_idx] + 1)
-                    is_best = (pos[f_idx] + 1) == best_len[segc[f_idx]]
-                    b_idx = f_idx[is_best]
-                    b_slot = f_slot[is_best]
-                    b_seg = segc[b_idx]
-                    resume[b_seg] = pos[b_idx] + 1
-                    pt = self.prefix_table.values
-                    seed_rm[b_seg] = pt[0][b_slot]
-                    seed_cs[b_seg] = pt[1][b_slot]
-                    seed_u[b_seg] = pt[2][b_slot]
-                    seed_e[b_seg] = pt[3][b_slot]
-                    resumed_elems = int(resume.sum())
-
-        # Keep only suffix elements (resume == 0 keeps everything).
-        if resumed_elems:
-            keep = pos >= resume[segc]
-            sidx2 = sidx[keep]
-            segc2 = segc[keep]
-            pos2 = pos[keep] - resume[segc2]
-            lens2 = lens_m - resume
-            kept_pos = pos[keep]
-        else:
-            sidx2 = sidx
-            segc2 = segc
-            pos2 = pos
-            lens2 = lens_m
-            kept_pos = pos
-
-        stask = sidx2 % self.T
-        lin = stask * np.int64(self.M) + flat_m[sidx2]
-        e_exec = self._etc_flat[lin]
+        stask = sidx % self.T
+        lin = sym[sidx]  # task * M + machine: the flat ETC/EEC index
         arr = self._arrivals[stask]
 
-        has_suffix = lens2 > 0
-        Lmax = int(lens2.max()) if ns else 0
-        if Lmax:
-            cells = nsm * Lmax
-            if cells > self._pad_cap:
-                self._pad_cap = max(cells, 2 * self._pad_cap)
-                self._pads = [np.empty(self._pad_cap) for _ in range(5)]
-            # Five fold planes from the grow-only pool; cumsums and the
-            # running max run in place (ufunc.accumulate reads each
-            # input element before writing its output slot).
-            A_pad = self._pads[0][:cells].reshape(nsm, Lmax)
-            E_pad = self._pads[1][:cells].reshape(nsm, Lmax)
-            csp = self._pads[2][:cells].reshape(nsm, Lmax)
-            U_pad = self._pads[3][:cells].reshape(nsm, Lmax)
-            E2 = self._pads[4][:cells].reshape(nsm, Lmax)
-            A_pad.fill(-np.inf)
-            E_pad.fill(0.0)
-            U_pad.fill(0.0)
-            E2.fill(0.0)
-            flat_ix = segc2 * np.int64(Lmax) + pos2
-            A_pad.reshape(-1)[flat_ix] = arr
-            E_pad.reshape(-1)[flat_ix] = e_exec
-            # Seed the exec-time fold: cs_0 = seed_cs + e_0 as one add.
-            E_pad[:, 0] += seed_cs * has_suffix
-            cs = np.cumsum(E_pad, axis=1, out=E_pad)
-            cs_prev = csp
-            cs_prev[:, 0] = seed_cs
-            cs_prev[:, 1:] = cs[:, :-1]
-            key = np.subtract(A_pad, cs_prev, out=A_pad)
-            np.maximum(key[:, 0], seed_rm, out=key[:, 0])
-            runmax = np.maximum.accumulate(key, axis=1, out=key)
-            F = np.add(runmax, cs, out=cs_prev)
-            f_elem = F.reshape(-1)[flat_ix]
-            elapsed = f_elem - arr
-            u_elem = self._tuf_table.evaluate(self._task_types[stask], elapsed)
-            U_pad.reshape(-1)[flat_ix] = u_elem
-            U_pad[:, 0] += seed_u * has_suffix
-            Uc = np.cumsum(U_pad, axis=1, out=U_pad)
-            E2.reshape(-1)[flat_ix] = self._eec_flat[lin]
-            E2[:, 0] += seed_e * has_suffix
-            Ec = np.cumsum(E2, axis=1, out=E2)
-            last_ix = np.arange(nsm, dtype=np.int64) * np.int64(Lmax)
-            last_ix += np.maximum(lens2 - 1, 0)
-            u_new = np.where(has_suffix, Uc.reshape(-1)[last_ix], seed_u)
-            e_new = np.where(has_suffix, Ec.reshape(-1)[last_ix], seed_e)
-            f_new = np.where(
-                has_suffix,
-                F.reshape(-1)[last_ix],
-                seed_rm + seed_cs,
-            )
-        else:  # every missed queue fully covered by cached prefixes
-            u_new = seed_u.copy()
-            e_new = seed_e.copy()
-            f_new = seed_rm + seed_cs
+        # One pool backs both stages: the (nsm, Lmax) finish-time planes
+        # are dead before the (2, Lmax, W) utility/energy plane is
+        # written.  W >= 2 keeps the column reduce a left fold.
+        Lmax = int(lens_m.max())
+        W = max(nsm, 2)
+        if 2 * Lmax * W > self._pad.size:
+            self._pad = np.empty(max(2 * Lmax * W, 2 * self._pad.size))
+        pool = self._pad[:2 * Lmax * W]
+
+        # Finish times need every prefix: row-wise cumsum and running
+        # max (ufunc.accumulate reads each input element before writing
+        # its output slot, so both run in place).  Padding (arrival
+        # -inf, exec 0.0) leaves the last column equal to each queue's
+        # final finish.
+        cells = nsm * Lmax
+        A_pad = pool[:cells].reshape(nsm, Lmax)
+        E_pad = pool[cells:2 * cells].reshape(nsm, Lmax)
+        A_pad.fill(-np.inf)
+        E_pad.fill(0.0)
+        flat_ix = segc * np.int64(Lmax) + pos
+        A_pad.reshape(-1)[flat_ix] = arr
+        E_pad.reshape(-1)[flat_ix] = self._etc_flat[lin]
+        cs = np.cumsum(E_pad, axis=1, out=E_pad)
+        # key_j = a_j - cs_{j-1}, with cs_{-1} = 0 (a - 0.0 == a).
+        np.subtract(A_pad[:, 1:], cs[:, :-1], out=A_pad[:, 1:])
+        runmax = np.maximum.accumulate(A_pad, axis=1, out=A_pad)
+        F = np.add(runmax, cs, out=A_pad)
+        elapsed = F.reshape(-1)[flat_ix]
+        elapsed -= arr
+        f_new = F[:, -1].copy()
+
+        u_elem = self._tuf_table.evaluate(self._task_types[stask], elapsed)
+        plane = pool.reshape(2, Lmax, W)
+        plane.fill(0.0)
+        col_ix = pos * np.int64(W) + segc
+        plane[0].reshape(-1)[col_ix] = u_elem
+        plane[1].reshape(-1)[col_ix] = self._eec_flat[lin]
+        totals = _column_left_folds(plane)
+        u_new = totals[0, :nsm]
+        e_new = totals[1, :nsm]
 
         uq[miss_ids] = u_new
         eq[miss_ids] = e_new
@@ -748,28 +632,6 @@ class BatchQueueKernel:
             self.queue_table.insert(
                 k[miss_ids], check[miss_ids], u_new, e_new, f_new
             )
-            if stride and Lmax:
-                # Insert anchor states of freshly computed positions.
-                new_anchor = np.flatnonzero(
-                    ((kept_pos % stride) == (stride - 1))
-                )
-                if new_anchor.size:
-                    a_flat = flat_ix[new_anchor]
-                    a_keys = hrel[keep][new_anchor] if resumed_elems \
-                        else hrel[new_anchor]
-                    a_check = (
-                        ((kept_pos[new_anchor] + 1) << np.int64(20))
-                        | (miss_ids[segc2[new_anchor]] % self.Mq)
-                    ).view(U64)
-                    self.prefix_table.insert(
-                        a_keys,
-                        a_check,
-                        runmax.reshape(-1)[a_flat],
-                        cs.reshape(-1)[a_flat],
-                        Uc.reshape(-1)[a_flat],
-                        Ec.reshape(-1)[a_flat],
-                    )
-        return resumed_elems
 
 
 def batch_reference_row(

@@ -65,8 +65,8 @@ __all__ = [
 ]
 
 #: Default evaluation kernel.  The population-at-once batch kernel wins
-#: at every bundled scale (BENCH_ga_hotloop: 2.89 ms vs 4.79 ms per
-#: step for "fast") and is bit-identical to its scalar oracle, so it is
+#: at every bundled scale (BENCH_ga_hotloop.json: ``current`` vs
+#: ``fast``) and is bit-identical to its scalar oracle, so it is
 #: the default; "fast" and "reference" stay selectable everywhere a
 #: ``kernel_method`` knob exists (goldens captured before the flip pin
 #: "fast" explicitly).
@@ -76,7 +76,7 @@ DEFAULT_KERNEL_METHOD = "batch"
 #: sets at the benchmark scales: a 125-generation Figure-3 run inserts
 #: ~62k distinct queue states, so 2¹⁷ entries leave ~2× headroom before
 #: a capacity clear while costing ~20 MB for the chromosome cache and
-#: ~10 MB for the batch kernel's queue/prefix tables.  Power of two so
+#: ~10 MB for the batch kernel's queue-state table.  Power of two so
 #: the batch kernel's open-addressing tables use it directly.
 DEFAULT_CACHE_SIZE = 131_072
 
@@ -184,9 +184,10 @@ def _queue_order(
 
     Fast path: when ``group × key × index`` fits a single int64
     composite key, the index is appended in the low bits, making every
-    key unique — the default introsort on unique keys yields exactly
-    the stable order while beating both the stable radix passes and the
-    multi-pass ``np.lexsort``.  All paths order ties identically.
+    key unique — so sorting the keys themselves and masking off the
+    high bits yields exactly the stable ``argsort`` permutation, while
+    beating both the stable radix passes and the multi-pass
+    ``np.lexsort``.  All paths order ties identically.
     """
     n = group.shape[0]
     gmin, gmax = int(group.min()), int(group.max())
@@ -212,7 +213,8 @@ def _queue_order(
             comp += tmp
             comp <<= shift
             comp |= arange
-            return np.argsort(comp)
+            comp.sort()
+            return comp & np.int64((1 << shift) - 1)
         composite = (group - gmin) * np.int64(key_range) + (order_key - omin)
         return np.argsort(composite, kind="stable")
     return np.lexsort((order_key, group))
@@ -326,7 +328,7 @@ def _segmented_finish_times(
         # lexsort fallback leaves the pool untouched, so ensure here.
         scratch.ensure(n)
         # i64[0]/i64[1] were _queue_order's work buffers; both are free
-        # again once the argsort has produced idx.
+        # again once it has returned idx (always a fresh array).
         g = np.take(group, idx, out=scratch.i64[0][:n])
         e = np.take(exec_times, idx, out=scratch.f64[0][:n])
         a = np.take(arrivals, idx, out=scratch.f64[1][:n])
@@ -605,14 +607,6 @@ class ScheduleEvaluator:
         two batch modes are bit-identical to each other but differ in
         the last float bits from ``fast``/``reference`` (different,
         equally valid summation associations).
-    prefix_stride:
-        Batch-mode only: anchor spacing of the prefix-resume cache
-        tier; ``0`` (default) disables it.  On the bundled datasets the
-        tier's anchor-table traffic costs more wall-clock than the fold
-        work it skips, so it is off by default — enabling it raises the
-        measured ``reuse_rate`` but not throughput (see
-        ``docs/performance.md``).  Results are bit-identical either
-        way.
     obs:
         Optional :class:`~repro.obs.context.RunContext`.  When enabled,
         each batch evaluation records an ``evaluator.batch`` span and
@@ -641,7 +635,6 @@ class ScheduleEvaluator:
         kernel_method: str = DEFAULT_KERNEL_METHOD,
         obs: Optional["RunContext"] = None,
         precomputed: Optional[EvaluatorArrays] = None,
-        prefix_stride: int = 0,
     ) -> None:
         trace.validate_against(system.num_task_types)
         if kernel_method not in (
@@ -731,8 +724,6 @@ class ScheduleEvaluator:
                 self,
                 use_cache=cache_size > 0,
                 queue_slots_log2=min(28, slots_log2),
-                prefix_slots_log2=min(28, slots_log2 + 1),
-                prefix_stride=prefix_stride,
             )
 
     @property
@@ -833,7 +824,7 @@ class ScheduleEvaluator:
         """Evaluation-cache counters (all zero when caching is off).
 
         In ``kernel_method="batch"`` the counters come from the batch
-        kernel's queue/prefix state tables instead of the per-chromosome
+        kernel's queue-state table instead of the per-chromosome
         cache, and include element-level ``reuse_rate``.
         """
         if self._batch_kernel is not None:
@@ -856,11 +847,11 @@ class ScheduleEvaluator:
         Cross-window evaluator reuse (see :mod:`repro.service`): when a
         streaming trace grows append-only, a new evaluator over the
         longer trace can adopt the previous evaluator's cached queue
-        states instead of starting cold — committed queue prefixes then
-        hit the content-fingerprint cache immediately.  Returns whether
-        a transfer happened (both evaluators must be in ``"batch"``
-        mode); incompatible kernels raise
-        :class:`~repro.errors.ScheduleError`.
+        states instead of starting cold — queues that hold only
+        committed tasks then hit the content-fingerprint cache
+        immediately.  Returns whether a transfer happened (both
+        evaluators must be in ``"batch"`` mode); incompatible kernels
+        raise :class:`~repro.errors.ScheduleError`.
         """
         if self._batch_kernel is None or other._batch_kernel is None:
             return False
@@ -918,12 +909,11 @@ class ScheduleEvaluator:
             metrics.gauge(
                 "evaluator_reuse_rate",
                 help="fraction of queue elements answered from cached "
-                "queue/prefix state in the latest batch",
+                "queue state in the latest batch",
             ).set(reuse_rate)
             metrics.counter(
                 "evaluator_queue_states_reused_total",
-                help="queue elements covered by cached full-queue or "
-                "prefix state",
+                help="queue elements covered by cached queue state",
             ).inc(int(batch.get("elements_reused", 0)))
         else:
             hits = (cache.hits - hits0) if cache else 0

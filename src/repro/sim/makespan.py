@@ -113,7 +113,6 @@ class MakespanEnergyEvaluator:
                 self,
                 use_cache=cache_size > 0,
                 queue_slots_log2=min(28, slots_log2),
-                prefix_slots_log2=min(28, slots_log2 + 1),
             )
 
     # -- engine interface ---------------------------------------------------

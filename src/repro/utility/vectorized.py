@@ -166,34 +166,43 @@ class TUFTable:
         ``(T,)`` float array of utilities.
         """
         task_types = np.asarray(task_types, dtype=np.int64)
-        t = np.maximum(np.asarray(elapsed, dtype=np.float64), 0.0)
+        t = np.array(elapsed, dtype=np.float64)  # never the caller's buffer
         if task_types.shape != t.shape:
             raise UtilityFunctionError(
                 f"task_types shape {task_types.shape} does not match elapsed "
                 f"shape {t.shape}"
             )
+        shape = t.shape
+        task_types = task_types.reshape(-1)
+        t = t.reshape(-1)
+        np.maximum(t, 0.0, out=t)
         cols, Ke, bp_flat, sv_flat, rt_flat, kd_flat = self._fast
-        # Segment index = count of breakpoints <= t, accumulated one
+        # Flat table index = type × Ke + segment, the segment being the
+        # count of breakpoints <= t, accumulated in place one
         # (num_types,)-gathered column at a time — no (n, K) temporary.
         # The folded-in tail segment makes end-of-life a search result.
-        seg = np.zeros(t.shape, dtype=np.int64)
+        lin = task_types * Ke
         for col in cols:
-            seg += np.take(col, task_types) <= t
-        lin = task_types * Ke + seg
-        dt = t - np.take(bp_flat, lin)
+            lin += np.take(col, task_types) <= t
+        # ``t`` is this call's own buffer: it becomes rate·dt in place.
+        rdt = np.subtract(t, np.take(bp_flat, lin), out=t)
+        np.multiply(np.take(rt_flat, lin), rdt, out=rdt)
         kind = np.take(kd_flat, lin)
-        v0 = np.take(sv_flat, lin)
-        rate = np.take(rt_flat, lin)
-        # Linear/constant first; the transcendental exp only where an
-        # exponential segment was actually selected (same values as the
-        # everywhere-exp formulation, element for element).
-        value = np.where(kind == _KIND_LIN, v0 - rate * dt, v0)
-        exp_mask = kind == _KIND_EXP
-        if exp_mask.any():
-            value[exp_mask] = v0[exp_mask] * np.exp(
-                -rate[exp_mask] * dt[exp_mask]
-            )
-        return np.maximum(value, np.take(self.tail_floors, task_types))
+        value = np.take(sv_flat, lin)
+        # Constant segments keep v0; linear ones take v0 − rate·dt and
+        # exponential ones v0·exp(−rate·dt).  No boolean gathers: the
+        # linear formula is a masked subtract, and exp runs over the
+        # whole buffer in place (one vector pass beats a masked one)
+        # with every non-exponential factor then set to exactly 1.0.
+        np.subtract(value, rdt, out=value, where=kind == _KIND_LIN)
+        not_exp = kind != _KIND_EXP
+        if not not_exp.all():
+            np.negative(rdt, out=rdt)
+            np.exp(rdt, out=rdt)
+            np.putmask(rdt, not_exp, 1.0)
+            value *= rdt
+        np.maximum(value, np.take(self.tail_floors, task_types), out=value)
+        return value.reshape(shape)
 
     def utility_upper_bound(self, task_types: IntArray) -> float:
         """Sum of maximum utilities — the unreachable ideal ``U``."""

@@ -211,20 +211,15 @@ class TestWindowEvaluator:
 
     def test_kernel_adoption_is_invisible_and_reuses(self, small_system):
         """Adopted kernel state changes reuse counters, never values."""
-        from repro.sim.batchkernel import PREFIX_ANCHOR_STRIDE
-
         stream = stream_for(small_system, rate=0.3)
 
         def run(reuse: bool):
             ledger = CommittedLedger()
             b0 = stream.batch(0)
-            ev0 = WindowEvaluator(
-                small_system, ledger, b0,
-                prefix_stride=PREFIX_ANCHOR_STRIDE,
-            )
+            ev0 = WindowEvaluator(small_system, ledger, b0)
             # Route the to-be-committed chromosome through the kernel so
-            # its queue (and prefix-anchor) states are cached before the
-            # handover, as happens naturally inside the GA loop.
+            # its queue states are cached before the handover, as
+            # happens naturally inside the GA loop.
             a0, o0 = random_free_genes(ev0, 1, seed=32)
             ev0.evaluate_batch(a0, o0)
             full = ev0.evaluate_full(a0[0], o0[0])
@@ -235,9 +230,7 @@ class TestWindowEvaluator:
             )
             b1 = stream.batch(1)
             ev1 = WindowEvaluator(
-                small_system, ledger, b1,
-                prefix_stride=PREFIX_ANCHOR_STRIDE,
-                reuse_from=ev0 if reuse else None,
+                small_system, ledger, b1, reuse_from=ev0 if reuse else None,
             )
             a1, o1 = random_free_genes(ev1, 8, seed=33)
             e, u = ev1.evaluate_batch(a1, o1)

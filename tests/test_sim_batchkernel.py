@@ -11,8 +11,8 @@ halves, and every test here pins one of them:
   different summation association than the ``fast`` kernel, so it is
   pinned to its *own* oracle, not to ``fast``.)
 * **Reuse transparency** — caching only skips work, never changes
-  results: cache on/off/cleared, prefix-resume tier on/off, any batch
-  composition, serial or parallel, all bit-identical.
+  results: cache on/off/cleared, any batch composition, serial or
+  parallel, all bit-identical.
 
 Adversarial shapes (empty queues, single-task machines, duplicate
 priorities, degenerate and large populations, huge order keys) target
@@ -33,11 +33,7 @@ from repro.experiments.datasets import DatasetBundle
 from repro.experiments.repetitions import run_repetitions
 from repro.experiments.runner import RetryPolicy, run_seeded_populations
 from repro.model.system import SystemModel
-from repro.sim.batchkernel import (
-    PREFIX_ANCHOR_STRIDE,
-    BatchQueueKernel,
-    batch_reference_row,
-)
+from repro.sim.batchkernel import BatchQueueKernel, batch_reference_row
 from repro.sim.evaluator import ScheduleEvaluator
 from repro.sim.makespan import MakespanEnergyEvaluator
 from repro.sim.schedule import ResourceAllocation
@@ -223,31 +219,6 @@ class TestReuseTransparency:
         assert stats["elements_reused"] == 0
         assert stats["reuse_rate"] == 0.0
 
-    def test_prefix_tier_bit_identical(self, small_system, small_trace):
-        """The prefix-resume tier (default off) only changes which
-        computations are skipped, never their results."""
-        plain = batch_ev(small_system, small_trace)
-        prefixed = batch_ev(small_system, small_trace,
-                            prefix_stride=PREFIX_ANCHOR_STRIDE)
-        assert prefixed._batch_kernel.prefix_stride == PREFIX_ANCHOR_STRIDE
-        for seed in range(5):
-            assignments, orders = make_batch(
-                small_system, small_trace, 25, seed % 3
-            )
-            e0, u0 = plain.evaluate_batch(assignments, orders)
-            e1, u1 = prefixed.evaluate_batch(assignments, orders)
-            np.testing.assert_array_equal(e0, e1)
-            np.testing.assert_array_equal(u0, u1)
-            eo, uo = oracle_batch(plain, assignments, orders)
-            np.testing.assert_array_equal(e0, eo)
-            np.testing.assert_array_equal(u0, uo)
-
-    def test_negative_prefix_stride_rejected(
-        self, small_system, small_trace
-    ):
-        with pytest.raises(ValueError):
-            batch_ev(small_system, small_trace, prefix_stride=-1)
-
     def test_stats_surface(self, small_system, small_trace):
         ev = batch_ev(small_system, small_trace)
         assignments, orders = make_batch(small_system, small_trace, 10, 11)
@@ -255,7 +226,7 @@ class TestReuseTransparency:
         ev.evaluate_batch(assignments, orders)
         stats = ev.cache_stats
         for key in ("hits", "misses", "entries", "elements_total",
-                    "elements_reused", "reuse_rate", "prefix_hits"):
+                    "elements_reused", "reuse_rate"):
             assert key in stats
         assert stats["hits"] > 0
         assert 0.0 < stats["reuse_rate"] <= 1.0
