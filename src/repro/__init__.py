@@ -25,75 +25,7 @@ Quickstart::
 See README.md for the full tour and DESIGN.md for the system inventory.
 """
 
-from repro.analysis import (
-    EfficiencyRegion,
-    ParetoFront,
-    hypervolume,
-    max_utility_per_energy_region,
-)
-from repro.core import (
-    ALGORITHMS,
-    NSGA2,
-    MOEAD,
-    SPEA2,
-    Algorithm,
-    AlgorithmConfig,
-    EpsilonArchiveNSGA2,
-    EvolutionaryAlgorithm,
-    NSGA2Config,
-    OperatorConfig,
-    ParetoArchive,
-    available_algorithms,
-    dominates,
-    fast_nondominated_sort,
-    make_algorithm,
-)
-from repro.exact import (
-    ExactFront,
-    distance_to_exact,
-    exact_energy_makespan_front,
-    exact_energy_utility_front,
-)
-from repro.data import (
-    GramCharlierPDF,
-    HeterogeneityStats,
-    expand_matrix_pair,
-    historical_epc,
-    historical_etc,
-    historical_system,
-    mvsk,
-)
-from repro.errors import ReproError
-from repro.experiments import (
-    dataset1,
-    dataset2,
-    dataset3,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    run_portfolio,
-    run_seeded_populations,
-    table1,
-    table2,
-    table3,
-)
-from repro.heuristics import (
-    SEEDING_HEURISTICS,
-    MaxUtility,
-    MaxUtilityPerEnergy,
-    MinEnergy,
-    MinMinCompletionTime,
-)
-from repro.model import SystemModel
-from repro.sim import (
-    EvaluationResult,
-    ResourceAllocation,
-    ScheduleEvaluator,
-    simulate_reference,
-)
-from repro.utility import TimeUtilityFunction, UtilityClass
-from repro.workload import Trace, WorkloadGenerator
+from repro import _lazy
 
 __version__ = "1.0.0"
 
@@ -165,3 +97,51 @@ __all__ = [
     "table2",
     "table3",
 ]
+
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    ".analysis.efficiency": (
+        "EfficiencyRegion", "max_utility_per_energy_region",
+    ),
+    ".analysis.pareto_front": ("ParetoFront",),
+    ".analysis.indicators": ("hypervolume",),
+    ".core.registry": ("ALGORITHMS", "available_algorithms", "make_algorithm"),
+    ".core.nsga2": ("NSGA2", "EpsilonArchiveNSGA2", "NSGA2Config"),
+    ".core.moead": ("MOEAD",),
+    ".core.spea2": ("SPEA2",),
+    ".core.algorithm": (
+        "Algorithm", "AlgorithmConfig", "EvolutionaryAlgorithm",
+    ),
+    ".core.operators": ("OperatorConfig",),
+    ".core.archive": ("ParetoArchive",),
+    ".core.dominance": ("dominates",),
+    ".core.sorting": ("fast_nondominated_sort",),
+    ".exact.baselines": (
+        "ExactFront", "distance_to_exact", "exact_energy_makespan_front",
+        "exact_energy_utility_front",
+    ),
+    ".data.gram_charlier": ("GramCharlierPDF",),
+    ".data.heterogeneity": ("HeterogeneityStats", "mvsk"),
+    ".data.synthetic": ("expand_matrix_pair",),
+    ".data.historical": (
+        "historical_epc", "historical_etc", "historical_system",
+    ),
+    ".errors": ("ReproError",),
+    ".experiments.datasets": ("dataset1", "dataset2", "dataset3"),
+    ".experiments.figures": ("figure3", "figure4", "figure5", "figure6"),
+    ".experiments.portfolio": ("run_portfolio",),
+    ".experiments.runner": ("run_seeded_populations",),
+    ".experiments.tables": ("table1", "table2", "table3"),
+    ".heuristics": ("SEEDING_HEURISTICS",),
+    ".heuristics.max_utility": ("MaxUtility",),
+    ".heuristics.utility_per_energy": ("MaxUtilityPerEnergy",),
+    ".heuristics.min_energy": ("MinEnergy",),
+    ".heuristics.min_min": ("MinMinCompletionTime",),
+    ".model.system": ("SystemModel",),
+    ".sim.evaluator": ("EvaluationResult", "ScheduleEvaluator"),
+    ".sim.schedule": ("ResourceAllocation",),
+    ".sim.events": ("simulate_reference",),
+    ".utility.tuf": ("TimeUtilityFunction",),
+    ".utility.intervals": ("UtilityClass",),
+    ".workload.trace": ("Trace",),
+    ".workload.generator": ("WorkloadGenerator",),
+})

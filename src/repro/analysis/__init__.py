@@ -17,30 +17,7 @@
   by the CLI, examples, and benchmark output.
 """
 
-from repro.analysis.attainment import attainment_summary, attainment_surface
-from repro.analysis.compare import compare_runs, render_comparison
-from repro.analysis.efficiency import EfficiencyRegion, max_utility_per_energy_region
-from repro.analysis.export import (
-    figure_to_csv,
-    figure_to_svg,
-    front_to_csv,
-    render_svg_scatter,
-)
-from repro.analysis.convergence import convergence_series, dominance_fraction
-from repro.analysis.indicators import (
-    additive_epsilon,
-    hypervolume,
-    igd,
-    spacing,
-    spread,
-)
-from repro.analysis.pareto_front import ParetoFront
-from repro.analysis.portfolio import (
-    AlgorithmScore,
-    PortfolioComparison,
-    compare_portfolio,
-)
-from repro.analysis.summary import experiment_report
+from repro import _lazy
 
 __all__ = [
     "ParetoFront",
@@ -66,3 +43,21 @@ __all__ = [
     "PortfolioComparison",
     "compare_portfolio",
 ]
+
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    ".attainment": ("attainment_summary", "attainment_surface"),
+    ".compare": ("compare_runs", "render_comparison"),
+    ".efficiency": ("EfficiencyRegion", "max_utility_per_energy_region"),
+    ".export": (
+        "figure_to_csv", "figure_to_svg", "front_to_csv", "render_svg_scatter",
+    ),
+    ".convergence": ("convergence_series", "dominance_fraction"),
+    ".indicators": (
+        "additive_epsilon", "hypervolume", "igd", "spacing", "spread",
+    ),
+    ".pareto_front": ("ParetoFront",),
+    ".portfolio": (
+        "AlgorithmScore", "PortfolioComparison", "compare_portfolio",
+    ),
+    ".summary": ("experiment_report",),
+})

@@ -54,26 +54,22 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-
-from repro.analysis.report import format_table
+# The parser needs these (the registry already loads the evaluator);
+# each handler imports its own driver, so a verb loads only its layers.
 from repro.core.registry import available_algorithms
-from repro.data.heterogeneity import mvsk
-from repro.data.historical import HISTORICAL_EPC, HISTORICAL_ETC
-from repro.data.synthetic import expand_matrix_pair
-from repro.experiments.datasets import dataset1, dataset2, dataset3
-from repro.experiments.figures import figure3, figure4, figure5, figure6
-from repro.experiments.io import save_figure_result
-from repro.experiments.tables import render_table1, render_table2, render_table3
 from repro.heuristics import SEEDING_HEURISTICS
-from repro.model.serialization import save_system
 from repro.sim.evaluator import DEFAULT_KERNEL_METHOD, ScheduleEvaluator
 
 __all__ = ["main"]
 
-_DATASETS = {"1": dataset1, "2": dataset2, "3": dataset3}
-_FIGURES = {"figure3": figure3, "figure4": figure4, "figure6": figure6}
-
 _OBS_LEVELS = ("debug", "info", "warning", "error")
+
+
+def _bundle(args: argparse.Namespace):
+    """The ``--dataset`` bundle built from ``--seed``."""
+    from repro.experiments.datasets import DATASET_BUILDERS
+
+    return DATASET_BUILDERS[f"dataset{args.dataset}"](args.seed)
 
 
 def _obs_from_args(args: argparse.Namespace, **fields):
@@ -81,7 +77,7 @@ def _obs_from_args(args: argparse.Namespace, **fields):
     obs_dir = getattr(args, "obs_dir", None)
     if obs_dir is None:
         return None
-    from repro.obs import RunContext
+    from repro.obs.context import RunContext
 
     return RunContext.create(
         obs_dir=obs_dir, level=getattr(args, "obs_level", "info"), **fields
@@ -96,6 +92,8 @@ def _flush_obs(obs) -> None:
 
 
 def _cmd_tables(_args: argparse.Namespace) -> int:
+    from repro.experiments.tables import render_table1, render_table2, render_table3
+
     print(render_table1())
     print()
     print(render_table2())
@@ -105,12 +103,14 @@ def _cmd_tables(_args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    if args.name == "figure5":
-        fig5 = figure5(scale=args.scale, base_seed=args.seed)
-        print(fig5.render())
-        return 0
-    driver = _FIGURES[args.name]
+    import repro.experiments.figures as figures
+    from repro.experiments.io import save_figure_result
+
+    driver = getattr(figures, args.name)
     result = driver(scale=args.scale, base_seed=args.seed)
+    if args.name == "figure5":
+        print(result.render())
+        return 0
     print(result.render(plot=args.plot))
     if args.output:
         save_figure_result(result, args.output)
@@ -129,12 +129,11 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_gantt(args: argparse.Namespace) -> int:
-    from repro.heuristics import SEEDING_HEURISTICS as _H
     from repro.sim.events import simulate_reference
     from repro.sim.gantt import render_gantt
 
-    bundle = _DATASETS[args.dataset](args.seed)
-    heuristic = _H[args.heuristic]()
+    bundle = _bundle(args)
+    heuristic = SEEDING_HEURISTICS[args.heuristic]()
     alloc = heuristic.build(bundle.system, bundle.trace)
     ref = simulate_reference(bundle.system, bundle.trace, alloc)
     print(
@@ -157,7 +156,7 @@ def _cmd_report(args: argparse.Namespace, resume: bool = False) -> int:
         print("resume requires --checkpoint-dir or --grid-dir",
               file=sys.stderr)
         return 2
-    bundle = _DATASETS[args.dataset](args.seed)
+    bundle = _bundle(args)
     config = ExperimentConfig.for_paper_checkpoints(
         [100, 1000, 10000],
         scale=args.scale,
@@ -220,9 +219,10 @@ def _cmd_reproduce_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_repetitions(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_table
     from repro.experiments.repetitions import run_repetitions
 
-    bundle = _DATASETS[args.dataset](args.seed)
+    bundle = _bundle(args)
     obs = _obs_from_args(args, command="repetitions", seed=args.seed)
     try:
         result = run_repetitions(
@@ -274,7 +274,7 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.portfolio import run_portfolio
 
-    bundle = _DATASETS[args.dataset](args.seed)
+    bundle = _bundle(args)
     config = ExperimentConfig(
         population_size=args.population,
         generations=args.generations,
@@ -348,7 +348,9 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_seeds(args: argparse.Namespace) -> int:
-    bundle = _DATASETS[args.dataset](args.seed)
+    from repro.analysis.report import format_table
+
+    bundle = _bundle(args)
     evaluator = ScheduleEvaluator(bundle.system, bundle.trace)
     rows = []
     for name, cls in SEEDING_HEURISTICS.items():
@@ -367,6 +369,11 @@ def _cmd_seeds(args: argparse.Namespace) -> int:
 
 
 def _cmd_datagen(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_table
+    from repro.data.heterogeneity import mvsk
+    from repro.data.historical import HISTORICAL_EPC, HISTORICAL_ETC
+    from repro.data.synthetic import expand_matrix_pair
+
     etc_exp, epc_exp = expand_matrix_pair(
         HISTORICAL_ETC, HISTORICAL_EPC, args.new_task_types, seed=args.seed
     )
@@ -390,8 +397,8 @@ def _cmd_datagen(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.errors import ObservabilityError
-    from repro.obs import trace_report, validate_run_dir
-    from repro.obs.report import resolve_run_dir
+    from repro.obs.report import resolve_run_dir, trace_report
+    from repro.obs.schema import validate_run_dir
 
     if args.validate:
         # Parallel runs: validate the collector's merged multi-process
@@ -414,7 +421,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_system(args: argparse.Namespace) -> int:
-    bundle = _DATASETS[args.dataset](args.seed)
+    from repro.model.serialization import save_system
+
+    bundle = _bundle(args)
     print(bundle.system.describe())
     print(f"trace: {bundle.num_tasks} tasks over {bundle.horizon_seconds:.0f} s")
     if args.output:

@@ -8,54 +8,7 @@ elitist generational loop (Algorithm 1), seeded initial populations,
 and an all-time external Pareto archive.
 """
 
-from repro.core.algorithm import (
-    Algorithm,
-    AlgorithmConfig,
-    EvolutionaryAlgorithm,
-    GenerationSnapshot,
-    RunHistory,
-)
-from repro.core.archive import EpsilonParetoArchive, ParetoArchive
-from repro.core.checkpoint import (
-    CheckpointStore,
-    EngineState,
-    capture_state,
-    restore_state,
-)
-from repro.core.chromosome import Chromosome, Gene
-from repro.core.crowding import crowding_by_front, crowding_distance
-from repro.core.dominance import (
-    dominates,
-    nondominated_mask,
-    pareto_filter,
-)
-from repro.core.moead import MOEAD
-from repro.core.nsga2 import NSGA2, EpsilonArchiveNSGA2, NSGA2Config
-from repro.core.objectives import BiObjectiveSpace, ObjectiveSense
-from repro.core.operators import OperatorConfig, VariationOperators
-from repro.core.population import Population
-from repro.core.registry import (
-    ALGORITHMS,
-    available_algorithms,
-    make_algorithm,
-)
-from repro.core.seeding import seeded_initial_population
-from repro.core.spea2 import SPEA2, spea2_fitness
-from repro.core.sorting import domination_count_ranks, fast_nondominated_sort
-from repro.core.telemetry import (
-    GenerationStats,
-    StageTimings,
-    TelemetryRecorder,
-    compose,
-)
-from repro.core.termination import (
-    AnyOf,
-    HypervolumeStagnation,
-    MaxEvaluations,
-    MaxGenerations,
-    MaxWallClock,
-    TerminationCriterion,
-)
+from repro import _lazy
 
 __all__ = [
     "ObjectiveSense",
@@ -104,3 +57,33 @@ __all__ = [
     "StageTimings",
     "compose",
 ]
+
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    ".algorithm": (
+        "Algorithm", "AlgorithmConfig", "EvolutionaryAlgorithm",
+        "GenerationSnapshot", "RunHistory",
+    ),
+    ".archive": ("EpsilonParetoArchive", "ParetoArchive"),
+    ".checkpoint": (
+        "CheckpointStore", "EngineState", "capture_state", "restore_state",
+    ),
+    ".chromosome": ("Chromosome", "Gene"),
+    ".crowding": ("crowding_by_front", "crowding_distance"),
+    ".dominance": ("dominates", "nondominated_mask", "pareto_filter"),
+    ".moead": ("MOEAD",),
+    ".nsga2": ("NSGA2", "EpsilonArchiveNSGA2", "NSGA2Config"),
+    ".objectives": ("BiObjectiveSpace", "ObjectiveSense"),
+    ".operators": ("OperatorConfig", "VariationOperators"),
+    ".population": ("Population",),
+    ".registry": ("ALGORITHMS", "available_algorithms", "make_algorithm"),
+    ".seeding": ("seeded_initial_population",),
+    ".spea2": ("SPEA2", "spea2_fitness"),
+    ".sorting": ("domination_count_ranks", "fast_nondominated_sort"),
+    ".telemetry": (
+        "GenerationStats", "StageTimings", "TelemetryRecorder", "compose",
+    ),
+    ".termination": (
+        "AnyOf", "HypervolumeStagnation", "MaxEvaluations", "MaxGenerations",
+        "MaxWallClock", "TerminationCriterion",
+    ),
+})

@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.analysis.indicators import hypervolume
 from repro.errors import OptimizationError
 from repro.types import FloatArray
 
@@ -116,6 +115,12 @@ class TelemetryRecorder:
     ) -> None:
         if every < 1:
             raise OptimizationError(f"every must be >= 1, got {every}")
+        # Bound here rather than at module level: the engine imports
+        # this module for StageTimings alone and should not carry the
+        # analysis layer; a recorder is built before the run it samples.
+        from repro.analysis.indicators import hypervolume
+
+        self._hypervolume = hypervolume
         self.reference = reference
         self.every = every
         self.rows: list[GenerationStats] = []
@@ -136,7 +141,7 @@ class TelemetryRecorder:
             GenerationStats(
                 generation=generation,
                 front_size=int(pts.shape[0]),
-                hypervolume=hypervolume(pts, self.reference),
+                hypervolume=self._hypervolume(pts, self.reference),
                 min_energy=float(pts[:, 0].min()),
                 max_utility=float(pts[:, 1].max()),
                 mean_energy=float(objectives[:, 0].mean()),

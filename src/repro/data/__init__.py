@@ -19,16 +19,7 @@
   ETC generator (Ali et al. 2000), kept as a comparison baseline.
 """
 
-from repro.data.gram_charlier import GramCharlierPDF
-from repro.data.heterogeneity import HeterogeneityStats, ks_similarity, mvsk
-from repro.data.historical import (
-    MACHINE_NAMES,
-    PROGRAM_NAMES,
-    historical_epc,
-    historical_etc,
-    historical_system,
-)
-from repro.data.synthetic import SyntheticExpansion, expand_matrix_pair
+from repro import _lazy
 
 __all__ = [
     "MACHINE_NAMES",
@@ -43,3 +34,13 @@ __all__ = [
     "SyntheticExpansion",
     "expand_matrix_pair",
 ]
+
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    ".gram_charlier": ("GramCharlierPDF",),
+    ".heterogeneity": ("HeterogeneityStats", "ks_similarity", "mvsk"),
+    ".historical": (
+        "MACHINE_NAMES", "PROGRAM_NAMES", "historical_epc", "historical_etc",
+        "historical_system",
+    ),
+    ".synthetic": ("SyntheticExpansion", "expand_matrix_pair"),
+})

@@ -10,14 +10,7 @@ its exact front is an **outer bound** on every achievable
 the true optimality gap of an evolved front.
 """
 
-from repro.exact.baselines import (
-    ExactFront,
-    brute_force_energy_utility_front,
-    contention_free_options,
-    distance_to_exact,
-    exact_energy_makespan_front,
-    exact_energy_utility_front,
-)
+from repro import _lazy
 
 __all__ = [
     "ExactFront",
@@ -27,3 +20,11 @@ __all__ = [
     "exact_energy_makespan_front",
     "exact_energy_utility_front",
 ]
+
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    ".baselines": (
+        "ExactFront", "brute_force_energy_utility_front",
+        "contention_free_options", "distance_to_exact",
+        "exact_energy_makespan_front", "exact_energy_utility_front",
+    ),
+})

@@ -13,37 +13,7 @@
 * :mod:`repro.experiments.io` — result serialization.
 """
 
-from repro.experiments.config import ExperimentConfig, scaled_checkpoints
-from repro.experiments.datasets import (
-    DatasetBundle,
-    TABLE3_MACHINE_COUNTS,
-    dataset1,
-    dataset2,
-    dataset3,
-)
-from repro.experiments.runner import (
-    PopulationFailure,
-    RetryPolicy,
-    SeededPopulationResult,
-    run_seeded_populations,
-)
-from repro.experiments.figures import (
-    FigureResult,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-)
-from repro.experiments.claims import ClaimResult, verify_paper_claims
-from repro.experiments.portfolio import PortfolioResult, run_portfolio
-from repro.experiments.reproduce import reproduce_all
-from repro.experiments.sweep import LoadPoint, offered_load, oversubscription_sweep
-from repro.experiments.repetitions import (
-    HypervolumeStats,
-    RepetitionResult,
-    run_repetitions,
-)
-from repro.experiments.tables import table1, table2, table3
+from repro import _lazy
 
 __all__ = [
     "ExperimentConfig",
@@ -77,3 +47,24 @@ __all__ = [
     "PortfolioResult",
     "run_portfolio",
 ]
+
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    ".config": ("ExperimentConfig", "scaled_checkpoints"),
+    ".datasets": (
+        "DatasetBundle", "TABLE3_MACHINE_COUNTS", "dataset1", "dataset2",
+        "dataset3",
+    ),
+    ".runner": (
+        "PopulationFailure", "RetryPolicy", "SeededPopulationResult",
+        "run_seeded_populations",
+    ),
+    ".figures": ("FigureResult", "figure3", "figure4", "figure5", "figure6"),
+    ".claims": ("ClaimResult", "verify_paper_claims"),
+    ".portfolio": ("PortfolioResult", "run_portfolio"),
+    ".reproduce": ("reproduce_all",),
+    ".sweep": ("LoadPoint", "offered_load", "oversubscription_sweep"),
+    ".repetitions": (
+        "HypervolumeStats", "RepetitionResult", "run_repetitions",
+    ),
+    ".tables": ("table1", "table2", "table3"),
+})

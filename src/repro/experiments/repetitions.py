@@ -16,7 +16,7 @@ Used by the statistics example and available for paper-scale studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,14 +27,15 @@ from repro.core.algorithm import AlgorithmConfig
 from repro.core.registry import AlgorithmFactory, make_algorithm
 from repro.errors import ExperimentError
 from repro.experiments.datasets import DatasetBundle
+from repro.experiments.runner import RetryPolicy
 from repro.heuristics import SEEDING_HEURISTICS
+from repro.obs.context import NULL_CONTEXT, RunContext
+from repro.obs.distributed import GRID_SPAN_NAME, WorkerTelemetryConfig
+from repro.parallel.descriptors import publish_dataset
+from repro.parallel.engine import CellReply, ParallelEngine, worker_obs
 from repro.rng import derive_seed, ensure_rng
 from repro.sim.evaluator import DEFAULT_KERNEL_METHOD, ScheduleEvaluator
 from repro.types import FloatArray
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.experiments.runner import RetryPolicy
-    from repro.obs.context import RunContext
 
 __all__ = ["HypervolumeStats", "RepetitionResult", "run_repetitions"]
 
@@ -96,8 +97,6 @@ def _repetition_cell(restored, extra: dict, r: int, attempt: int, payload) -> Fl
     derivation — so fronts are bit-identical to a sequential run
     regardless of worker count, scheduling order, or transport.
     """
-    from repro.parallel.engine import worker_obs
-
     fault_hook = extra.get("fault_hook")
     if fault_hook is not None:
         fault_hook(r, attempt)
@@ -137,12 +136,12 @@ def run_repetitions(
     base_seed: int = 2013,
     workers: int = 0,
     transport: str = "auto",
-    retry: Optional["RetryPolicy"] = None,
+    retry: Optional[RetryPolicy] = None,
     algorithm: Union[str, AlgorithmFactory] = "nsga2",
     kernel_method: str = DEFAULT_KERNEL_METHOD,
     grid_dir: Optional[str] = None,
     fault_hook=None,
-    obs: Optional["RunContext"] = None,
+    obs: Optional[RunContext] = None,
 ) -> RepetitionResult:
     """Run R independent optimizer repetitions of one population setup.
 
@@ -220,8 +219,6 @@ def run_repetitions(
             f"{sorted(SEEDING_HEURISTICS)}"
         )
     if obs is None:
-        from repro.obs.context import NULL_CONTEXT
-
         obs = NULL_CONTEXT
     obs = obs.bind(dataset=dataset.name, seed_label=seed_label)
     seeds = []
@@ -349,9 +346,9 @@ def _run_repetitions_parallel(
     base_seed: int,
     workers: int,
     transport: str,
-    retry: Optional["RetryPolicy"],
+    retry: Optional[RetryPolicy],
     seeds: list,
-    obs: "RunContext",
+    obs: RunContext,
     algorithm: Union[str, AlgorithmFactory] = "nsga2",
     *,
     kernel_method: str = DEFAULT_KERNEL_METHOD,
@@ -369,11 +366,6 @@ def _run_repetitions_parallel(
     every lifecycle transition is journaled, and each front is
     persisted to the result store the moment it completes.
     """
-    from repro.experiments.runner import RetryPolicy
-    from repro.obs.distributed import GRID_SPAN_NAME, WorkerTelemetryConfig
-    from repro.parallel.descriptors import publish_dataset
-    from repro.parallel.engine import CellReply, ParallelEngine
-
     policy = retry if retry is not None else RetryPolicy()
     extra = {
         "generations": generations,

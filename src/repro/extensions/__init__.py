@@ -16,21 +16,7 @@ capabilities of processors."
   optimizes placement and frequency jointly.
 """
 
-from repro.extensions.dropping import DroppingPolicy, apply_dropping
-from repro.extensions.dvfs import PState, DVFS_PRESETS, expand_system_dvfs, make_dvfs_evaluator
-from repro.extensions.robustness import (
-    NoiseModel,
-    RobustnessAnalyzer,
-    RobustnessReport,
-    front_robustness,
-)
-from repro.extensions.online import (
-    BudgetedUtilityPolicy,
-    MaxUtilityPolicy,
-    OnlineDispatcher,
-    UtilityPerEnergyPolicy,
-    budget_from_front,
-)
+from repro import _lazy
 
 __all__ = [
     "DroppingPolicy",
@@ -49,3 +35,18 @@ __all__ = [
     "RobustnessReport",
     "front_robustness",
 ]
+
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    ".dropping": ("DroppingPolicy", "apply_dropping"),
+    ".dvfs": (
+        "PState", "DVFS_PRESETS", "expand_system_dvfs", "make_dvfs_evaluator",
+    ),
+    ".robustness": (
+        "NoiseModel", "RobustnessAnalyzer", "RobustnessReport",
+        "front_robustness",
+    ),
+    ".online": (
+        "BudgetedUtilityPolicy", "MaxUtilityPolicy", "OnlineDispatcher",
+        "UtilityPerEnergyPolicy", "budget_from_front",
+    ),
+})

@@ -7,10 +7,7 @@ Consumption (EPC) matrices that characterize them.  The derived
 Estimated Energy Consumption (EEC) matrix is ``ETC * EPC`` (Eq. 2).
 """
 
-from repro.model.machine import Machine, MachineCategory, MachineType
-from repro.model.matrices import EECMatrix, EPCMatrix, ETCMatrix, TypedMatrix
-from repro.model.system import SystemModel
-from repro.model.task import TaskCategory, TaskType
+from repro import _lazy
 
 __all__ = [
     "Machine",
@@ -24,3 +21,10 @@ __all__ = [
     "EECMatrix",
     "SystemModel",
 ]
+
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    ".machine": ("Machine", "MachineCategory", "MachineType"),
+    ".matrices": ("EECMatrix", "EPCMatrix", "ETCMatrix", "TypedMatrix"),
+    ".system": ("SystemModel",),
+    ".task": ("TaskCategory", "TaskType"),
+})

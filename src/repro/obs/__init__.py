@@ -31,18 +31,7 @@ See ``docs/observability.md`` for the span taxonomy, metric names, and
 event schema.
 """
 
-from repro.obs.collect import merge_obs_dir, worker_dirs
-from repro.obs.context import NULL_CONTEXT, RunContext
-from repro.obs.distributed import (
-    TraceContext,
-    WorkerTelemetry,
-    WorkerTelemetryConfig,
-)
-from repro.obs.events import EventLog
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.report import trace_report
-from repro.obs.schema import check_run_dir, validate_run_dir
-from repro.obs.trace import Span, Tracer
+from repro import _lazy
 
 __all__ = [
     "RunContext",
@@ -63,3 +52,16 @@ __all__ = [
     "validate_run_dir",
     "check_run_dir",
 ]
+
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    ".collect": ("merge_obs_dir", "worker_dirs"),
+    ".context": ("NULL_CONTEXT", "RunContext"),
+    ".distributed": (
+        "TraceContext", "WorkerTelemetry", "WorkerTelemetryConfig",
+    ),
+    ".events": ("EventLog",),
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".report": ("trace_report",),
+    ".schema": ("check_run_dir", "validate_run_dir"),
+    ".trace": ("Span", "Tracer"),
+})

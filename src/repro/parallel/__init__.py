@@ -28,41 +28,7 @@ See ``docs/performance.md`` for the architecture discussion,
 ``benchmarks/test_bench_parallel_grid.py`` for the measured speedups.
 """
 
-from repro.parallel.descriptors import (
-    PublishedDataset,
-    RestoredDataset,
-    SharedDatasetHandle,
-    dataset_arrays,
-    publish_dataset,
-)
-from repro.parallel.engine import CellReply, ParallelEngine
-from repro.parallel.manifest import (
-    MANIFEST_FORMAT,
-    CellStatus,
-    GridManifest,
-    WorkerJournal,
-)
-from repro.parallel.resultstore import (
-    RESULT_FORMAT,
-    ResultStore,
-    dataset_fingerprint,
-    grid_fingerprint,
-)
-from repro.parallel.shm import (
-    SEGMENT_PREFIX,
-    SHARED_MEMORY_AVAILABLE,
-    ArrayPackSpec,
-    ArraySpec,
-    SharedArrayPack,
-    SharedMemoryUnavailable,
-    attach,
-    detach_all,
-    janitor_sweep,
-    leaked_segments,
-    owned_segments,
-    publish,
-    unlink_segments,
-)
+from repro import _lazy
 
 __all__ = [
     "SHARED_MEMORY_AVAILABLE",
@@ -94,3 +60,24 @@ __all__ = [
     "dataset_fingerprint",
     "grid_fingerprint",
 ]
+
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    ".descriptors": (
+        "PublishedDataset", "RestoredDataset", "SharedDatasetHandle",
+        "dataset_arrays", "publish_dataset",
+    ),
+    ".engine": ("CellReply", "ParallelEngine"),
+    ".manifest": (
+        "MANIFEST_FORMAT", "CellStatus", "GridManifest", "WorkerJournal",
+    ),
+    ".resultstore": (
+        "RESULT_FORMAT", "ResultStore", "dataset_fingerprint",
+        "grid_fingerprint",
+    ),
+    ".shm": (
+        "SEGMENT_PREFIX", "SHARED_MEMORY_AVAILABLE", "ArrayPackSpec",
+        "ArraySpec", "SharedArrayPack", "SharedMemoryUnavailable", "attach",
+        "detach_all", "janitor_sweep", "leaked_segments", "owned_segments",
+        "publish", "unlink_segments",
+    ),
+})

@@ -12,14 +12,7 @@ window's front, keeping a Pareto-optimal energy/utility trade-off
 available to the dispatch policy at all times.
 """
 
-from repro.service.dispatch import (
-    DispatchService,
-    ServiceConfig,
-    ServiceResult,
-    WindowReport,
-)
-from repro.service.stream import ArrivalStream, WindowBatch, windows_from_trace
-from repro.service.window import CommittedLedger, WindowEvaluator
+from repro import _lazy
 
 __all__ = [
     "ArrivalStream",
@@ -32,3 +25,11 @@ __all__ = [
     "ServiceResult",
     "WindowReport",
 ]
+
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    ".dispatch": (
+        "DispatchService", "ServiceConfig", "ServiceResult", "WindowReport",
+    ),
+    ".stream": ("ArrivalStream", "WindowBatch", "windows_from_trace"),
+    ".window": ("CommittedLedger", "WindowEvaluator"),
+})

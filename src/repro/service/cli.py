@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.registry import available_algorithms
-from repro.service.dispatch import DispatchService, ServiceConfig, ServiceResult
-from repro.service.stream import ArrivalStream, windows_from_trace
 from repro.sim.evaluator import DEFAULT_KERNEL_METHOD
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.dispatch import ServiceResult
 
 __all__ = ["main", "build_parser", "result_payload"]
 
@@ -123,6 +124,8 @@ def result_payload(result: ServiceResult) -> dict:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.experiments.datasets import DATASET_BUILDERS
     from repro.obs.context import RunContext
+    from repro.service.dispatch import DispatchService, ServiceConfig
+    from repro.service.stream import ArrivalStream, windows_from_trace
     from repro.workload.generator import TaskTypeMix
 
     bundle = DATASET_BUILDERS[f"dataset{args.dataset}"](seed=args.seed)

@@ -16,11 +16,7 @@ Two implementations with identical semantics:
   used to validate the fast path (property-tested to bit-equality).
 """
 
-from repro.sim.evaluator import EvaluationResult, ScheduleEvaluator
-from repro.sim.events import simulate_reference
-from repro.sim.gantt import machine_timeline, render_gantt
-from repro.sim.metrics import ScheduleMetrics, compute_metrics
-from repro.sim.schedule import ResourceAllocation
+from repro import _lazy
 
 __all__ = [
     "ResourceAllocation",
@@ -32,3 +28,11 @@ __all__ = [
     "render_gantt",
     "machine_timeline",
 ]
+
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    ".evaluator": ("EvaluationResult", "ScheduleEvaluator"),
+    ".events": ("simulate_reference",),
+    ".gantt": ("machine_timeline", "render_gantt"),
+    ".metrics": ("ScheduleMetrics", "compute_metrics"),
+    ".schedule": ("ResourceAllocation",),
+})

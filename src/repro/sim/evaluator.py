@@ -42,19 +42,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.errors import ScheduleError
 from repro.model.system import SystemModel
+from repro.obs.context import NULL_CONTEXT, RunContext
+from repro.sim.batchkernel import BatchQueueKernel, batch_reference_row
 from repro.sim.schedule import ResourceAllocation
 from repro.types import BoolArray, FloatArray, IntArray
 from repro.utility.vectorized import TUFTable
 from repro.workload.trace import Trace
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.context import RunContext
 
 __all__ = [
     "EvaluationResult",
@@ -652,8 +651,6 @@ class ScheduleEvaluator:
         self.fault_hook = fault_hook
         self.kernel_method = kernel_method
         if obs is None:
-            from repro.obs.context import NULL_CONTEXT
-
             obs = NULL_CONTEXT
         self.obs = obs
         # Batch modes replace the chromosome cache with the kernel's
@@ -711,8 +708,6 @@ class ScheduleEvaluator:
             self._num_queues = int(qg.max()) + 1
         self._batch_kernel = None
         if kernel_method == "batch":
-            from repro.sim.batchkernel import BatchQueueKernel
-
             # cache_size is the entry budget; tables hold up to half
             # their slots, so the slot count doubles it (cache_size=0
             # is the validated caching-off configuration).
@@ -761,8 +756,6 @@ class ScheduleEvaluator:
             # Batch fold semantics: totals are per-queue left folds
             # combined over ascending queue id, so evaluate() agrees
             # bit-for-bit with evaluate_batch() in these modes.
-            from repro.sim.batchkernel import batch_reference_row
-
             energy, utility, finish = batch_reference_row(
                 self, assignment, allocation.scheduling_order
             )
@@ -981,8 +974,6 @@ class ScheduleEvaluator:
         if self.kernel_method == "batch":
             return self._batch_kernel.evaluate_population(assignments, orders)
         if self.kernel_method == "batch-reference":
-            from repro.sim.batchkernel import batch_reference_row
-
             energies = np.empty(N, dtype=np.float64)
             utilities = np.empty(N, dtype=np.float64)
             for i in range(N):

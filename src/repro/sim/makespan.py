@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.errors import ScheduleError
 from repro.model.system import SystemModel
+from repro.sim.batchkernel import BatchQueueKernel
 from repro.sim.evaluator import (
     DEFAULT_CACHE_SIZE,
     DEFAULT_KERNEL_METHOD,
@@ -95,8 +96,6 @@ class MakespanEnergyEvaluator:
         self._row_index = np.arange(self.num_tasks)
         self._batch_kernel = None
         if kernel_method == "batch":
-            from repro.sim.batchkernel import BatchQueueKernel
-
             # Duck-typed kernel bindings (it reads these attributes);
             # makespan uses per-row maxima of the cached final-finish
             # values, and energy comes from the same queue folds.

@@ -15,10 +15,7 @@ them into breakpoint tables, and provides fully vectorized batch
 evaluation for the simulator hot path.
 """
 
-from repro.utility.intervals import DecayShape, UtilityClass, UtilityInterval
-from repro.utility.presets import PresetCatalog, default_catalog, assign_presets
-from repro.utility.tuf import CompiledTUF, TimeUtilityFunction
-from repro.utility.vectorized import TUFTable
+from repro import _lazy
 
 __all__ = [
     "DecayShape",
@@ -31,3 +28,10 @@ __all__ = [
     "default_catalog",
     "assign_presets",
 ]
+
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    ".intervals": ("DecayShape", "UtilityClass", "UtilityInterval"),
+    ".presets": ("PresetCatalog", "default_catalog", "assign_presets"),
+    ".tuf": ("CompiledTUF", "TimeUtilityFunction"),
+    ".vectorized": ("TUFTable",),
+})

@@ -13,16 +13,7 @@ priori.  This package generates such traces:
   combining an arrival process with a task-type mix.
 """
 
-from repro.workload.arrivals import (
-    ArrivalProcess,
-    BurstyArrivals,
-    PoissonArrivals,
-    ProfileArrivals,
-    UniformArrivals,
-)
-from repro.workload.importers import SWFJob, export_swf, parse_swf, parse_swf_text, trace_from_swf
-from repro.workload.generator import TaskTypeMix, WorkloadGenerator
-from repro.workload.trace import Trace
+from repro import _lazy
 
 __all__ = [
     "ArrivalProcess",
@@ -39,3 +30,16 @@ __all__ = [
     "trace_from_swf",
     "export_swf",
 ]
+
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    ".arrivals": (
+        "ArrivalProcess", "BurstyArrivals", "PoissonArrivals",
+        "ProfileArrivals", "UniformArrivals",
+    ),
+    ".importers": (
+        "SWFJob", "export_swf", "parse_swf", "parse_swf_text",
+        "trace_from_swf",
+    ),
+    ".generator": ("TaskTypeMix", "WorkloadGenerator"),
+    ".trace": ("Trace",),
+})
