@@ -7,8 +7,8 @@ Runs the warm-started windowed re-optimization service
 * **Warm vs cold window cost at matched front quality.**  Alongside
   the warm service run, every busy window is *probed* by a
   cold-restart GA on the identical committed-ledger state: a fresh
-  random population with 3x the generations and no adopted kernel
-  state — the "just rerun the GA each window" strawman an online
+  random population with 3x the generations and prefix state folded
+  from the ledger — the "just rerun the GA each window" strawman an online
   deployment would otherwise use.  Because both optimizers see the
   exact same horizon, their fronts are directly comparable; the gates
   require the warm front's hypervolume to stay within 1% of the cold
@@ -25,10 +25,11 @@ Runs the warm-started windowed re-optimization service
   utility-per-energy policies) anchor the quality axis: near-zero
   dispatch cost, no Pareto choice.  The report records their
   objectives next to the service's.
-* **Cross-window evaluator reuse.**  The mean kernel reuse rate over
-  warm windows must be nonzero — the content-fingerprint caches are
-  the mechanism behind the cost gate, so losing them silently would
-  show up here first.
+* **Cross-window evaluator reuse.**  The mean reuse rate over warm
+  windows (the share of horizon elements served by committed-prefix
+  state) must be nonzero, and nearly every window must carry that
+  state from the previous one — the mechanism behind the cost gate,
+  so losing it silently would show up here first.
 
 Results are written to ``BENCH_online_service.json`` at the repo root
 (``.smoke.json`` under ``REPRO_BENCH_SMOKE=1``, which the CI
@@ -103,7 +104,7 @@ def cold_probe(system, ledger, batch):
 
     Timed with the same scope as the service's ``dispatch_seconds``:
     evaluator construction, optimization, and full evaluation of the
-    chosen point.  No carryover seeds, no adopted kernel state.
+    chosen point.  No carryover seeds, no carried prefix state.
     """
     t0 = time.perf_counter()
     evaluator = WindowEvaluator(system, ledger, batch)

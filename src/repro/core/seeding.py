@@ -139,15 +139,15 @@ def repair_mapped_seeds(
             picks = rng.integers(0, pool.size, size=(S, at.size))
             assignments[:, at] = donors[rows, pool[picks]]
         else:
-            for s in range(S):
-                assignments[s, at] = feasible.sample(at, rng)
-    seeds: list[ResourceAllocation] = []
+            # FeasibleMachines.sample once per seed row, as one call:
+            # array bounds draw element by element, so the row-major
+            # bounds consume the stream exactly as S calls would.
+            picks = rng.integers(0, np.tile(feasible.counts[at], S))
+            assignments[:, at] = feasible.padded[at, picks.reshape(S, -1)]
+    orders = np.empty((S, T), dtype=np.int64)
     for s in range(S):
         if s == 0 and arrival_order_first:
-            order = np.arange(T, dtype=np.int64)
+            orders[s] = np.arange(T)
         else:
-            order = rng.permutation(T).astype(np.int64)
-        seeds.append(ResourceAllocation(
-            machine_assignment=assignments[s], scheduling_order=order,
-        ))
-    return seeds
+            orders[s] = rng.permutation(T)
+    return ResourceAllocation.from_rows(assignments, orders)

@@ -4,9 +4,9 @@ Long-running windowed re-optimization: tasks arrive continuously from
 an arrival process (or a recorded trace), are buffered into dispatch
 windows, and each window is re-optimized by a warm-started evolutionary
 run over the *pinned-prefix* horizon — every already-dispatched task is
-frozen at the head of its machine queue, so queues that hold only
-committed tasks hit the batch kernel's content-fingerprint cache across
-generations *and* across windows.  An incrementally maintained
+frozen at the head of its machine queue, so each window evaluates only
+its free tasks, continuing per-machine folds of the committed prefix
+that carry from window to window.  An incrementally maintained
 :class:`~repro.core.archive.EpsilonParetoArchive` absorbs every
 window's front, keeping a Pareto-optimal energy/utility trade-off
 available to the dispatch policy at all times.
@@ -19,6 +19,7 @@ __all__ = [
     "WindowBatch",
     "windows_from_trace",
     "CommittedLedger",
+    "PrefixState",
     "WindowEvaluator",
     "ServiceConfig",
     "DispatchService",
@@ -31,5 +32,5 @@ __getattr__, __dir__ = _lazy.exports(globals(), {
         "DispatchService", "ServiceConfig", "ServiceResult", "WindowReport",
     ),
     ".stream": ("ArrivalStream", "WindowBatch", "windows_from_trace"),
-    ".window": ("CommittedLedger", "WindowEvaluator"),
+    ".window": ("CommittedLedger", "PrefixState", "WindowEvaluator"),
 })

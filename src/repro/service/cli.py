@@ -16,7 +16,6 @@ import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.registry import available_algorithms
-from repro.sim.evaluator import DEFAULT_KERNEL_METHOD
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.dispatch import ServiceResult
@@ -63,11 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=available_algorithms(),
                    default="nsga2",
                    help="per-window optimizer (default: nsga2)")
-    p.add_argument("--kernel-method",
-                   choices=["fast", "reference", "batch", "batch-reference"],
-                   default=DEFAULT_KERNEL_METHOD,
-                   help="evaluation kernel; only 'batch' supports "
-                   "cross-window queue-state reuse (default)")
     p.add_argument("--cold", action="store_true",
                    help="disable warm starts (fresh random population "
                    "every window) — the cold-restart baseline")
@@ -153,7 +147,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         warm_start=not args.cold,
         carryover=args.carryover,
         energy_budget=args.energy_budget,
-        kernel_method=args.kernel_method,
         compact_every=args.compact_every,
         seed=args.seed,
     )
@@ -173,7 +166,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "population": args.population,
         "generations": args.generations,
         "warm_start": not args.cold,
-        "kernel_method": args.kernel_method,
         "compact_every": args.compact_every,
         "seed": args.seed,
     }

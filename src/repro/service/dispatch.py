@@ -12,9 +12,10 @@ levels:
   repair-mapped copies of this window's survivors
   (:func:`~repro.core.seeding.repair_mapped_seeds`), not from random
   chromosomes.
-* **Kernel state** — the next window's evaluator adopts this window's
-  batch-kernel queue-state caches, so the committed prefix (identical
-  in every chromosome) is answered from cache.
+* **Prefix state** — the next window's evaluator carries this
+  window's committed-prefix folds forward by the tasks it committed,
+  so the committed prefix (identical in every chromosome) is never
+  re-evaluated.
 * **Archive** — every window's front accumulates into one bounded
   ε-dominance archive, so the dispatch policy always has the best
   energy/utility trade-off curve seen so far.
@@ -34,10 +35,10 @@ from repro.core.registry import make_algorithm
 from repro.core.seeding import repair_mapped_seeds
 from repro.errors import ScheduleError
 from repro.rng import derive_seed
-from repro.sim.evaluator import DEFAULT_CACHE_SIZE, DEFAULT_KERNEL_METHOD
 from repro.service.stream import WindowBatch
-from repro.service.window import CommittedLedger, WindowEvaluator
+from repro.service.window import CommittedLedger, PrefixState, WindowEvaluator
 from repro.types import FloatArray
+from repro.utility.vectorized import TUFTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.system import SystemModel
@@ -62,10 +63,6 @@ class ServiceConfig:
         Seed each window from the previous window's survivors
         (repair-mapped); ``False`` re-seeds randomly every window (the
         cold-restart baseline).
-    kernel_reuse:
-        Adopt the previous window's batch-kernel queue-state caches
-        (``False`` additionally makes the cold-restart baseline pay
-        full evaluation cost each window).
     carryover:
         Maximum donor chromosomes carried between windows (front rows
         first), capped at the population size.
@@ -75,13 +72,10 @@ class ServiceConfig:
         *cumulative* energy fits, falling back to the min-energy point
         (flagged in the report) when none does.  ``None`` = argmax
         utility, unconstrained.
-    kernel_method, cache_size:
-        Horizon evaluator configuration; the batch kernel is what makes
-        cross-window queue-state reuse possible.
     compact_every:
         Attempt ledger compaction every this many windows (0 = never).
-        Compaction bounds horizon growth for indefinite streams but
-        resets the kernel caches (task indices shift).
+        Compaction bounds horizon growth for indefinite streams; the
+        next window folds its prefix state from the ledger again.
     archive_epsilon_rel:
         ε-box size for the Pareto archive, relative to the first
         window's front ranges per axis.
@@ -95,11 +89,8 @@ class ServiceConfig:
     generations: int = 12
     mutation_probability: float = 0.25
     warm_start: bool = True
-    kernel_reuse: bool = True
     carryover: int = 16
     energy_budget: Optional[float] = None
-    kernel_method: str = DEFAULT_KERNEL_METHOD
-    cache_size: int = DEFAULT_CACHE_SIZE
     compact_every: int = 8
     archive_epsilon_rel: float = 1e-3
     seed: int = 2013
@@ -132,7 +123,20 @@ class ServiceConfig:
 
 @dataclass(frozen=True)
 class WindowReport:
-    """Everything recorded about one dispatch window."""
+    """Everything recorded about one dispatch window.
+
+    Attributes
+    ----------
+    kernel_adopted:
+        The window's evaluator carried the previous window's prefix
+        state forward instead of folding the whole ledger (``False``
+        for the first busy window and the first one after a
+        compaction).
+    reuse_rate:
+        This window's share of evaluated horizon elements served by
+        the committed-prefix state rather than folded: committed tasks
+        over horizon tasks (0.0 when nothing was committed yet).
+    """
 
     index: int
     start: float
@@ -195,7 +199,7 @@ class DispatchService:
     Feed windows via :meth:`run` (an iterable of
     :class:`~repro.service.stream.WindowBatch`) or one at a time via
     :meth:`process_window`; state (ledger, archive, carryover
-    population, kernel caches) persists across calls, so a driver can
+    population, prefix state) persists across calls, so a driver can
     interleave windows with its own logic.
     """
 
@@ -213,7 +217,10 @@ class DispatchService:
         self.ledger = CommittedLedger()
         self.archive: Optional[EpsilonParetoArchive] = None
         self.reports: list[WindowReport] = []
-        self._prev_evaluator: Optional[WindowEvaluator] = None
+        self._tuf_table = TUFTable.from_system(system)
+        self._prefix: Optional[PrefixState] = None
+        self._elements_total = 0
+        self._elements_reused = 0
         self._prev_types = None
         self._prev_donors = None
         self._flow_time_sum = 0.0
@@ -237,16 +244,17 @@ class DispatchService:
 
     # -- dispatch policy ---------------------------------------------------
 
-    def _choose(self, points: FloatArray) -> tuple[int, bool]:
-        """Front row to dispatch: max utility within the cumulative
-        energy budget, else the min-energy point (flagged)."""
+    def _choose(self, points: FloatArray) -> tuple[int, str]:
+        """Front row to dispatch and the rule that picked it: max
+        utility within the cumulative energy budget, else the
+        min-energy point (flagged as exceeding the budget)."""
         budget = self.config.energy_budget
         if budget is not None:
             fits = np.flatnonzero(points[:, 0] <= budget)
             if fits.size:
-                return int(fits[np.argmax(points[fits, 1])]), False
-            return int(np.argmin(points[:, 0])), True
-        return int(np.argmax(points[:, 1])), False
+                return int(fits[np.argmax(points[fits, 1])]), "budget"
+            return int(np.argmin(points[:, 0])), "budget-fallback-min-energy"
+        return int(np.argmax(points[:, 1])), "max-utility"
 
     # -- main loop ---------------------------------------------------------
 
@@ -274,20 +282,19 @@ class DispatchService:
         ):
             compacted = self.ledger.compact(batch.start)
             if compacted:
-                # Task indices shifted: adopted kernel state and donor
-                # mappings from the old epoch no longer apply.
-                self._prev_evaluator = None
+                # Queue prefixes lost their heads: the carried prefix
+                # state belongs to the old epoch.
+                self._prefix = None
         if batch.count == 0:
             report = self._idle_report(batch, compacted, t0)
-            self._record(report, reuse={})
+            self._record(report)
             return report
 
         evaluator = WindowEvaluator(
             self.system, self.ledger, batch,
-            kernel_method=cfg.kernel_method,
-            cache_size=cfg.cache_size,
+            tuf_table=self._tuf_table,
+            carried=self._prefix,
             obs=self.obs,
-            reuse_from=self._prev_evaluator if cfg.kernel_reuse else None,
         )
         seeds = []
         if cfg.warm_start and self._prev_donors is not None and cfg.carryover:
@@ -311,20 +318,19 @@ class DispatchService:
         )
         algorithm.run(cfg.generations)
         points, rows = algorithm.current_front()
-        sel, exceeded = self._choose(points)
+        sel, rule = self._choose(points)
         row = int(rows[sel])
         assignment = algorithm.population.assignments[row].copy()
         order = algorithm.population.orders[row].copy()
 
         full = evaluator.evaluate_full(assignment, order)
-        C = evaluator.committed
-        finishes = full.completion_times[C:]
+        finishes = full.completion_times
         self._flow_time_sum += float(
             (finishes - batch.arrival_times).sum()
         )
         self.ledger.commit(
             batch, assignment, evaluator.absolute_orders(order),
-            finishes, full.task_energies[C:], full.task_utilities[C:],
+            finishes, full.task_energies, full.task_utilities,
         )
         archive_size = self._ensure_archive(points).update(
             points, payloads=[batch.index] * points.shape[0]
@@ -337,9 +343,10 @@ class DispatchService:
         donor_rows = np.concatenate([rows, np.flatnonzero(rest)])
         self._prev_types = batch.task_types
         self._prev_donors = algorithm.population.assignments[donor_rows].copy()
-        self._prev_evaluator = evaluator
+        self._prefix = evaluator.prefix
+        self._elements_total += evaluator.elements_total
+        self._elements_reused += evaluator.elements_reused
 
-        reuse = evaluator.cache_stats
         report = WindowReport(
             index=batch.index, start=batch.start, end=batch.end,
             tasks=batch.count,
@@ -347,15 +354,23 @@ class DispatchService:
             front_points=points,
             chosen_energy=float(points[sel, 0]),
             chosen_utility=float(points[sel, 1]),
-            budget_exceeded=exceeded,
+            budget_exceeded=rule == "budget-fallback-min-energy",
             dispatch_seconds=time.perf_counter() - t0,
             warm_seeds=len(seeds),
             kernel_adopted=evaluator.kernel_adopted,
-            reuse_rate=float(reuse.get("reuse_rate", 0.0)),
+            reuse_rate=evaluator.reuse_rate,
             compacted=compacted,
             archive_size=archive_size,
         )
-        self._record(report, reuse=reuse)
+        self._record(report)
+        if self.obs.enabled:
+            self.obs.event(
+                "dispatch.decision", window=report.index,
+                energy=report.chosen_energy, utility=report.chosen_utility,
+                rule=rule, budget=cfg.energy_budget,
+                budget_exceeded=report.budget_exceeded,
+                front_size=int(points.shape[0]),
+            )
         return report
 
     def _algorithm_config(self):
@@ -379,7 +394,7 @@ class DispatchService:
             archive_size=len(self.archive) if self.archive else 0,
         )
 
-    def _record(self, report: WindowReport, reuse: dict) -> None:
+    def _record(self, report: WindowReport) -> None:
         self.reports.append(report)
         self._wall_seconds += report.dispatch_seconds
         obs = self.obs
@@ -422,9 +437,12 @@ class DispatchService:
         ).set(report.archive_size)
         metrics.gauge(
             "service_reuse_rate",
-            help="lifetime fraction of queue elements answered from "
-            "cached kernel state",
-        ).set(float(reuse.get("reuse_rate", 0.0)))
+            help="lifetime fraction of evaluated horizon elements served "
+            "by committed-prefix state",
+        ).set(
+            self._elements_reused / self._elements_total
+            if self._elements_total else 0.0
+        )
 
     # -- summary -----------------------------------------------------------
 

@@ -145,8 +145,7 @@ class _OpenAddressTable:
         # keys/checks/values is masked through ``used``, so those
         # arrays can stay uninitialized (np.empty maps lazily — this
         # keeps table construction O(slots/page) instead of paying a
-        # ~36MB memset per kernel, which dominated evaluator
-        # construction cost in the online service's per-window loop).
+        # ~36MB memset per kernel).
         self.keys = np.empty(n, dtype=U64)
         self.checks = np.empty(n, dtype=U64)
         self.used = np.zeros(n, dtype=bool)
@@ -323,14 +322,8 @@ class BatchQueueKernel:
 
     @property
     def queue_table(self) -> QueueStateTable:
-        """The queue-state table, built on first use.
-
-        The online service builds one evaluator per window and adopts
-        the previous window's table into it at once; a table built
-        eagerly would be allocated and dropped every window, and that
-        churn of MB-sized buffers moves glibc's dynamic mmap threshold
-        enough to raise the service's peak RSS by ~7 MB on some seeds.
-        """
+        """The queue-state table, built on first use (an evaluator that
+        never runs a batch allocates none)."""
         if self._queue_table is None:
             self._queue_table = QueueStateTable(self._queue_slots_log2)
         return self._queue_table
@@ -401,71 +394,6 @@ class BatchQueueKernel:
     def clear(self) -> None:
         """Drop all cached queue states."""
         self.queue_table.clear()
-
-    def adopt_state(self, other: "BatchQueueKernel") -> None:
-        """Take over *other*'s cached queue states and counters.
-
-        Supports the online service's cross-window evaluator reuse: a
-        window's evaluator is rebuilt over a longer (append-only) trace,
-        but every cached state of the previous kernel remains valid for
-        the new one — so the table transfers wholesale instead of
-        starting cold.  Validity rests on content fingerprints being a
-        pure function of ``(task_index, machine, order_key)`` elements,
-        which the per-symbol hash streams guarantee as long as they are
-        prefix-stable under trace growth:
-
-        * ``_r_sym``/``_r_ord`` are fixed-seed PCG64 draws over a
-          power-of-two range (one 64-bit word per value, no rejection),
-          so a longer stream extends the shorter one; asserted below.
-        * The check word ``(queue_len << 20) | queue_id`` and the
-          Fibonacci slot hash do not depend on the trace length.
-
-        Raises :class:`~repro.errors.ScheduleError` when the kernels
-        are not compatible (different machines, queue grouping, cache
-        configuration, or a *shrunk* trace).
-        """
-        from repro.errors import ScheduleError
-
-        if other is self:
-            return
-        if (
-            other.M != self.M
-            or other.Mq != self.Mq
-            or not np.array_equal(other.qg, self.qg)
-        ):
-            raise ScheduleError(
-                "cannot adopt kernel state across different machine/queue "
-                "configurations"
-            )
-        if other.T > self.T:
-            raise ScheduleError(
-                f"cannot adopt state from a larger trace ({other.T} tasks) "
-                f"into a smaller one ({self.T}); carryover is append-only"
-            )
-        if other.use_cache != self.use_cache:
-            raise ScheduleError(
-                "cannot adopt kernel state across different cache "
-                "configurations (use_cache must match)"
-            )
-        # Prefix stability of the hash streams — cheap (a vectorized
-        # compare over at most T*M words) and load-bearing: a numpy
-        # that re-derived bounded draws differently would silently
-        # corrupt every adopted fingerprint.
-        n_sym = other.T * other.M
-        if not np.array_equal(self._r_sym[:n_sym], other._r_sym[:n_sym]):
-            raise ScheduleError(
-                "per-symbol hash stream is not prefix-stable; refusing to "
-                "adopt cached queue states"
-            )
-        n_ord = min(self._ord_cap, other._ord_cap)
-        if not np.array_equal(self._r_ord[:n_ord], other._r_ord[:n_ord]):
-            raise ScheduleError(
-                "order-key hash stream is not prefix-stable; refusing to "
-                "adopt cached queue states"
-            )
-        self._queue_table = other.queue_table
-        self.elements_total = other.elements_total
-        self.elements_reused = other.elements_reused
 
     # -- core --------------------------------------------------------------
 

@@ -834,23 +834,6 @@ class ScheduleEvaluator:
         if self._batch_kernel is not None:
             self._batch_kernel.clear()
 
-    def adopt_kernel_state(self, other: "ScheduleEvaluator") -> bool:
-        """Carry *other*'s batch-kernel queue-state caches into this one.
-
-        Cross-window evaluator reuse (see :mod:`repro.service`): when a
-        streaming trace grows append-only, a new evaluator over the
-        longer trace can adopt the previous evaluator's cached queue
-        states instead of starting cold — queues that hold only
-        committed tasks then hit the content-fingerprint cache
-        immediately.  Returns whether a transfer happened (both
-        evaluators must be in ``"batch"`` mode); incompatible kernels
-        raise :class:`~repro.errors.ScheduleError`.
-        """
-        if self._batch_kernel is None or other._batch_kernel is None:
-            return False
-        self._batch_kernel.adopt_state(other._batch_kernel)
-        return True
-
     # -- population batch ----------------------------------------------------
 
     def evaluate_batch(

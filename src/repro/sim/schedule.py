@@ -27,6 +27,29 @@ from repro.types import IntArray
 __all__ = ["ResourceAllocation"]
 
 
+def _frozen_genes(
+    assignment: IntArray, order: IntArray, ndim: int
+) -> tuple[IntArray, IntArray]:
+    """Validated read-only int64 copies of *ndim*-D gene arrays (the
+    last axis runs over tasks)."""
+    assignment = np.array(assignment, dtype=np.int64)
+    order = np.array(order, dtype=np.int64)
+    if assignment.ndim != ndim or order.ndim != ndim:
+        raise ScheduleError(f"allocation genes must be {ndim}-D")
+    if assignment.shape != order.shape:
+        raise ScheduleError(
+            f"assignment shape {assignment.shape} does not match "
+            f"order shape {order.shape}"
+        )
+    if assignment.shape[-1] == 0:
+        raise ScheduleError("allocation must cover at least one task")
+    if np.any(assignment < 0):
+        raise ScheduleError("machine indices must be >= 0")
+    assignment.setflags(write=False)
+    order.setflags(write=False)
+    return assignment, order
+
+
 @dataclass(frozen=True)
 class ResourceAllocation:
     """Per-task machine assignment and global scheduling order.
@@ -45,25 +68,30 @@ class ResourceAllocation:
     scheduling_order: IntArray
 
     def __post_init__(self) -> None:
-        assignment = np.asarray(self.machine_assignment, dtype=np.int64)
-        order = np.asarray(self.scheduling_order, dtype=np.int64)
-        if assignment.ndim != 1 or order.ndim != 1:
-            raise ScheduleError("allocation columns must be 1-D")
-        if assignment.shape != order.shape:
-            raise ScheduleError(
-                f"assignment length {assignment.shape[0]} does not match "
-                f"order length {order.shape[0]}"
-            )
-        if assignment.size == 0:
-            raise ScheduleError("allocation must cover at least one task")
-        if np.any(assignment < 0):
-            raise ScheduleError("machine indices must be >= 0")
-        assignment = assignment.copy()
-        order = order.copy()
-        assignment.setflags(write=False)
-        order.setflags(write=False)
+        assignment, order = _frozen_genes(
+            self.machine_assignment, self.scheduling_order, ndim=1
+        )
         object.__setattr__(self, "machine_assignment", assignment)
         object.__setattr__(self, "scheduling_order", order)
+
+    @classmethod
+    def from_rows(
+        cls, assignments: IntArray, orders: IntArray
+    ) -> list["ResourceAllocation"]:
+        """One allocation per row of ``(S, T)`` gene matrices.
+
+        Validates the matrices once instead of once per row; each
+        allocation holds read-only row views of one private copy.
+        """
+        allocations = []
+        for assignment, order in zip(
+            *_frozen_genes(assignments, orders, ndim=2)
+        ):
+            allocation = object.__new__(cls)
+            object.__setattr__(allocation, "machine_assignment", assignment)
+            object.__setattr__(allocation, "scheduling_order", order)
+            allocations.append(allocation)
+        return allocations
 
     @property
     def num_tasks(self) -> int:

@@ -6,9 +6,10 @@ import pytest
 from repro.core.archive import ParetoArchive
 from repro.core.dominance import nondominated_mask
 from repro.core.operators import FeasibleMachines
-from repro.core.seeding import seeded_initial_population
+from repro.core.seeding import repair_mapped_seeds, seeded_initial_population
 from repro.errors import OptimizationError
 from repro.heuristics import MinEnergy
+from repro.workload.trace import Trace
 
 
 class TestSeeding:
@@ -39,6 +40,83 @@ class TestSeeding:
         seed_alloc = MinEnergy().build(small_system, small_trace)
         with pytest.raises(OptimizationError):
             seeded_initial_population(feas, 1, [seed_alloc, seed_alloc], rng_seed=0)
+
+
+def per_seed_repair_reference(donor_types, donors, types, feasible, rng,
+                              arrival_order_first):
+    """repair_mapped_seeds written one seed row at a time (the RNG
+    stream contract: type-major donor draws, per-seed fallbacks, then
+    one order per seed)."""
+    S, T = donors.shape[0], types.shape[0]
+    assignments = np.empty((S, T), dtype=np.int64)
+    rows = np.arange(S)[:, None]
+    for t in np.unique(types):
+        at = np.flatnonzero(types == t)
+        pool = np.flatnonzero(donor_types == t)
+        if pool.size:
+            picks = rng.integers(0, pool.size, size=(S, at.size))
+            assignments[:, at] = donors[rows, pool[picks]]
+        else:
+            for s in range(S):
+                assignments[s, at] = feasible.sample(at, rng)
+    orders = [
+        np.arange(T) if s == 0 and arrival_order_first
+        else rng.permutation(T)
+        for s in range(S)
+    ]
+    return assignments, orders
+
+
+class TestRepairMappedSeeds:
+    def test_matches_per_seed_reference(self, small_system):
+        rng = np.random.default_rng(8)
+        K = small_system.num_task_types
+        fallbacks = 0
+        for case in range(60):
+            D, T, S = (int(x) for x in rng.integers(1, 9, size=3))
+            donor_types = rng.integers(0, K, D)
+            types = rng.integers(0, K, T)
+            fallbacks += bool(set(types.tolist()) - set(donor_types.tolist()))
+            donors = rng.integers(0, small_system.num_machines, (S, D))
+            feasible = FeasibleMachines.from_system_trace(
+                small_system,
+                Trace(task_types=types, arrival_times=np.zeros(T),
+                      window=1.0),
+            )
+            first = bool(case % 2)
+            seeds = repair_mapped_seeds(
+                donor_types, donors, types, feasible, rng_seed=case,
+                arrival_order_first=first,
+            )
+            ref_a, ref_o = per_seed_repair_reference(
+                donor_types, donors, types, feasible,
+                np.random.default_rng(case), first,
+            )
+            assert len(seeds) == S
+            for s, seed in enumerate(seeds):
+                np.testing.assert_array_equal(seed.machine_assignment,
+                                              ref_a[s])
+                np.testing.assert_array_equal(seed.scheduling_order,
+                                              ref_o[s])
+        assert fallbacks > 10
+
+    def test_unseen_types_get_feasible_machines(self, small_system):
+        types = np.array([0, 1, 2, 3])
+        feasible = FeasibleMachines.from_system_trace(
+            small_system,
+            Trace(task_types=types, arrival_times=np.zeros(4), window=1.0),
+        )
+        seeds = repair_mapped_seeds(
+            np.array([0]), np.array([[1], [2], [3]]), types, feasible,
+            rng_seed=4, max_seeds=2, arrival_order_first=True,
+        )
+        assert len(seeds) == 2
+        np.testing.assert_array_equal(seeds[0].scheduling_order,
+                                      np.arange(4))
+        mask = small_system.feasible_task_machine
+        for seed in seeds:
+            assert mask[types, seed.machine_assignment].all()
+        assert [int(s.machine_assignment[0]) for s in seeds] == [1, 2]
 
 
 class TestArchive:

@@ -11,6 +11,7 @@ import pytest
 from repro.errors import ScheduleError
 from repro.obs.context import RunContext
 from repro.service import ArrivalStream, DispatchService, ServiceConfig
+from repro.service import dispatch as dispatch_module
 from repro.workload.generator import TaskTypeMix
 
 
@@ -72,11 +73,19 @@ class TestDispatchService:
         busy = [r for r in reports if not r.idle]
         assert len(busy) >= 3
         # Window 0 is necessarily cold; later windows carry seeds and
-        # (between compactions) adopt kernel state.
+        # carry prefix state forward — except right after a compaction,
+        # which starts a new ledger epoch.
         assert busy[0].warm_seeds == 0 and not busy[0].kernel_adopted
+        assert busy[0].reuse_rate == 0.0
         assert all(r.warm_seeds > 0 for r in busy[1:])
-        assert any(r.kernel_adopted for r in busy[1:])
-        assert any(r.reuse_rate > 0 for r in busy[1:])
+        assert all(0.0 < r.reuse_rate < 1.0 for r in busy[1:])
+        assert any(r.compacted for r in reports)
+        fresh_epoch = True
+        for r in reports:
+            fresh_epoch |= r.compacted > 0
+            if not r.idle:
+                assert r.kernel_adopted == (not fresh_epoch)
+                fresh_epoch = False
 
     def test_cold_mode_never_seeds(self, small_system):
         service = DispatchService(
@@ -179,22 +188,25 @@ class TestDispatchService:
 
 class TestWindowLifetime:
     def test_window_evaluator_freed_on_refcount(self, small_system,
-                                                gc_disabled):
-        """A window's evaluator is kept only as the next window's
-        kernel donor; once later windows have run it is freed with
-        cyclic garbage collection off, so per-window memory does not
-        pile up."""
+                                                gc_disabled, monkeypatch):
+        """Only a window's prefix state outlives it: every window's
+        evaluator is freed on its reference count (cyclic garbage
+        collection off) as soon as the window is dispatched, so
+        per-window memory does not pile up."""
+        refs = []
+
+        class Recorded(dispatch_module.WindowEvaluator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(dispatch_module, "WindowEvaluator", Recorded)
         service = DispatchService(small_system, small_config())
-        windows = list(stream_for(small_system).windows(4))
-        service.process_window(windows[0])
-        window_ev = service._prev_evaluator
-        assert window_ev is not None and window_ev.batch.index == 0
-        refs = [weakref.ref(window_ev),
-                weakref.ref(window_ev.horizon_evaluator)]
-        del window_ev
-        for batch in windows[1:3]:
+        for batch in stream_for(small_system).windows(4):
             service.process_window(batch)
-        assert [ref() for ref in refs] == [None, None]
+            assert all(ref() is None for ref in refs)
+        assert refs
+        assert service._prefix is not None
 
 
 class TestServiceObservability:
@@ -229,6 +241,56 @@ class TestServiceObservability:
         assert any(
             s["attrs"].get("kernel_adopted") for s in window_spans
         )
+        # Window evaluation files its own batch spans.
+        batch_spans = [s for s in spans if s["name"] == "evaluator.batch"]
+        assert batch_spans
+        assert all(s["attrs"]["rows"] > 0 for s in batch_spans)
+        assert any(s["attrs"]["reuse_rate"] > 0 for s in batch_spans)
+
+    def test_dispatch_decision_events(self, small_system, tmp_path):
+        """One ``dispatch.decision`` event per busy window, carrying the
+        chosen point and the rule that chose it."""
+        stream = stream_for(small_system, rate=0.2)
+        free = DispatchService(small_system, small_config())
+        free.run(stream.windows(4))
+        budget = free.ledger.total_energy * 0.6
+
+        obs = RunContext.create(obs_dir=tmp_path, run_id="svc-decision")
+        service = DispatchService(
+            small_system, small_config(energy_budget=budget), obs=obs
+        )
+        service.run(stream.windows(4))
+        obs.flush()
+        events = [
+            json.loads(line)
+            for line in (tmp_path / "events.jsonl").read_text().splitlines()
+        ]
+        decisions = [
+            e["fields"] for e in events if e["event"] == "dispatch.decision"
+        ]
+        busy = [r for r in service.reports if not r.idle]
+        assert len(decisions) == len(busy) > 0
+        for event, report in zip(decisions, busy):
+            assert event["window"] == report.index
+            assert event["energy"] == report.chosen_energy
+            assert event["utility"] == report.chosen_utility
+            assert event["budget"] == budget
+            assert event["budget_exceeded"] == report.budget_exceeded
+            assert event["front_size"] == report.front_points.shape[0]
+            assert event["rule"] == (
+                "budget-fallback-min-energy" if report.budget_exceeded
+                else "budget"
+            )
+
+        unconstrained = RunContext.create(run_id="svc-free")
+        DispatchService(
+            small_system, small_config(), obs=unconstrained
+        ).run(stream.windows(2))
+        rules = {
+            e["fields"]["rule"] for e in unconstrained.events.events
+            if e["event"] == "dispatch.decision"
+        }
+        assert rules == {"max-utility"}
 
     def test_dark_by_default(self, small_system):
         service = DispatchService(small_system, small_config())

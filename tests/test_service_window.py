@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ScheduleError
 from repro.service.stream import ArrivalStream, WindowBatch
 from repro.service.window import CommittedLedger, WindowEvaluator
+from repro.sim.batchkernel import batch_reference_row
 from repro.sim.evaluator import ScheduleEvaluator
 from repro.workload.generator import TaskTypeMix
 from repro.workload.trace import Trace
@@ -39,13 +40,35 @@ def commit_window(evaluator: WindowEvaluator, ledger, batch, seed=11):
     """Commit one random chromosome, as the service would."""
     assignments, orders = random_free_genes(evaluator, 1, seed)
     full = evaluator.evaluate_full(assignments[0], orders[0])
-    C = evaluator.committed
     ledger.commit(
         batch, assignments[0], evaluator.absolute_orders(orders[0]),
-        full.completion_times[C:], full.task_energies[C:],
-        full.task_utilities[C:],
+        full.completion_times, full.task_energies, full.task_utilities,
     )
     return full
+
+
+def horizon_evaluator(system, ledger, batch) -> ScheduleEvaluator:
+    """A plain batch-mode evaluator over committed + free tasks."""
+    horizon = Trace(
+        task_types=np.concatenate([ledger.task_types, batch.task_types]),
+        arrival_times=np.concatenate(
+            [ledger.arrival_times, batch.arrival_times]
+        ),
+        window=batch.end,
+    )
+    return ScheduleEvaluator(
+        system, horizon, check_feasibility=False, kernel_method="batch",
+    )
+
+
+def splice(ledger, assignments, orders):
+    """Horizon chromosomes: the committed genes followed by free genes."""
+    n = assignments.shape[0]
+    return (
+        np.hstack([np.tile(ledger.machine_assignment, (n, 1)), assignments]),
+        np.hstack([np.tile(ledger.order_keys, (n, 1)),
+                   orders + ledger.order_base]),
+    )
 
 
 class TestCommittedLedger:
@@ -161,33 +184,17 @@ class TestWindowEvaluator:
         assignments, orders = random_free_genes(ev1, 6, seed=21)
         energies, utilities = ev1.evaluate_batch(assignments, orders)
 
-        horizon = Trace(
-            task_types=np.concatenate(
-                [ledger.task_types, b1.task_types]
-            ),
-            arrival_times=np.concatenate(
-                [ledger.arrival_times, b1.arrival_times]
-            ),
-            window=b1.end,
+        direct = horizon_evaluator(small_system, ledger, b1)
+        ref_e, ref_u = direct.evaluate_batch(
+            *splice(ledger, assignments, orders)
         )
-        direct = ScheduleEvaluator(
-            small_system, horizon, check_feasibility=False,
-            kernel_method="batch",
-        )
-        C, F = ledger.active, b1.count
-        full_a = np.empty((6, C + F), dtype=np.int64)
-        full_o = np.empty((6, C + F), dtype=np.int64)
-        full_a[:, :C] = ledger.machine_assignment
-        full_o[:, :C] = ledger.order_keys
-        full_a[:, C:] = assignments
-        full_o[:, C:] = orders + ledger.order_base
-        ref_e, ref_u = direct.evaluate_batch(full_a, full_o)
         np.testing.assert_array_equal(energies, ref_e)
         np.testing.assert_array_equal(utilities, ref_u)
 
     def test_committed_prefix_is_frozen(self, small_system):
         """Whatever the free genes are, the committed tasks' finish
-        times (hence energies/utilities) never change."""
+        times on the whole horizon never change — which is what lets a
+        window fold its free tasks onto fixed prefix state."""
         stream = stream_for(small_system, rate=0.3)
         ledger = CommittedLedger()
         b0 = stream.batch(0)
@@ -195,58 +202,45 @@ class TestWindowEvaluator:
         commit_window(ev0, ledger, b0)
         b1 = stream.batch(1)
         ev1 = WindowEvaluator(small_system, ledger, b1)
+        direct = horizon_evaluator(small_system, ledger, b1)
         C = ev1.committed
         for seed in (5, 6, 7):
             a, o = random_free_genes(ev1, 1, seed)
-            full = ev1.evaluate_full(a[0], o[0])
-            np.testing.assert_array_equal(
-                full.completion_times[:C], ledger.finish_times
-            )
-            np.testing.assert_array_equal(
-                full.task_energies[:C], ledger.task_energies
-            )
-            np.testing.assert_array_equal(
-                full.task_utilities[:C], ledger.task_utilities
-            )
+            full_a, full_o = splice(ledger, a, o)
+            _, _, finish = batch_reference_row(direct, full_a[0], full_o[0])
+            np.testing.assert_array_equal(finish[:C], ledger.finish_times)
 
     def test_kernel_adoption_is_invisible_and_reuses(self, small_system):
-        """Adopted kernel state changes reuse counters, never values."""
+        """Carried prefix state changes how the prefix is built, never
+        values; either way the committed elements are served from it."""
         stream = stream_for(small_system, rate=0.3)
 
-        def run(reuse: bool):
+        def run(carry: bool):
             ledger = CommittedLedger()
             b0 = stream.batch(0)
             ev0 = WindowEvaluator(small_system, ledger, b0)
-            # Route the to-be-committed chromosome through the kernel so
-            # its queue states are cached before the handover, as
-            # happens naturally inside the GA loop.
-            a0, o0 = random_free_genes(ev0, 1, seed=32)
-            ev0.evaluate_batch(a0, o0)
-            full = ev0.evaluate_full(a0[0], o0[0])
-            ledger.commit(
-                b0, a0[0], ev0.absolute_orders(o0[0]),
-                full.completion_times, full.task_energies,
-                full.task_utilities,
-            )
+            commit_window(ev0, ledger, b0, seed=32)
             b1 = stream.batch(1)
             ev1 = WindowEvaluator(
-                small_system, ledger, b1, reuse_from=ev0 if reuse else None,
+                small_system, ledger, b1,
+                carried=ev0.prefix if carry else None,
             )
             a1, o1 = random_free_genes(ev1, 8, seed=33)
             e, u = ev1.evaluate_batch(a1, o1)
             return e, u, ev1
 
-        warm_e, warm_u, warm_ev = run(reuse=True)
-        cold_e, cold_u, cold_ev = run(reuse=False)
+        warm_e, warm_u, warm_ev = run(carry=True)
+        cold_e, cold_u, cold_ev = run(carry=False)
         np.testing.assert_array_equal(warm_e, cold_e)
         np.testing.assert_array_equal(warm_u, cold_u)
         assert warm_ev.kernel_adopted
         assert not cold_ev.kernel_adopted
-        warm_reused = warm_ev.cache_stats["elements_reused"]
-        cold_reused = cold_ev.cache_stats["elements_reused"]
-        # The adopted caches resume the committed queue prefixes; the
-        # cold kernel must fold every element from scratch.
-        assert warm_reused > cold_reused
+        C, F = warm_ev.committed, warm_ev.num_tasks
+        assert C > 0
+        for ev in (warm_ev, cold_ev):
+            assert ev.elements_total == 8 * (C + F)
+            assert ev.elements_reused == 8 * C
+            assert ev.reuse_rate == C / (C + F)
 
     def test_stale_epoch_reuse_rejected(self, small_system):
         stream = stream_for(small_system, rate=0.3)
@@ -257,7 +251,7 @@ class TestWindowEvaluator:
         assert ledger.compact(float(ledger.finish_times.max()) + 1.0) > 0
         b1 = stream.batch(1)
         with pytest.raises(ScheduleError, match="stale"):
-            WindowEvaluator(small_system, ledger, b1, reuse_from=ev0)
+            WindowEvaluator(small_system, ledger, b1, carried=ev0.prefix)
 
     def test_offsets_added_after_compaction(self, small_system):
         """Post-compaction objectives stay service-cumulative."""

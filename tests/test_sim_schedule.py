@@ -37,6 +37,40 @@ class TestConstruction:
             ResourceAllocation(np.array([], dtype=int), np.array([], dtype=int))
 
 
+class TestFromRows:
+    def test_matches_per_row_construction(self):
+        assignments = np.array([[0, 1, 2], [2, 2, 0]])
+        orders = np.array([[2, 0, 1], [0, 0, 1]])
+        allocations = ResourceAllocation.from_rows(assignments, orders)
+        assert len(allocations) == 2
+        for row, allocation in enumerate(allocations):
+            expected = ResourceAllocation(assignments[row], orders[row])
+            assert allocation.num_tasks == 3
+            np.testing.assert_array_equal(allocation.machine_assignment,
+                                          expected.machine_assignment)
+            np.testing.assert_array_equal(allocation.scheduling_order,
+                                          expected.scheduling_order)
+
+    def test_rows_are_private_and_immutable(self):
+        assignments = np.array([[0, 1], [1, 0]])
+        orders = np.array([[0, 1], [1, 0]])
+        allocation = ResourceAllocation.from_rows(assignments, orders)[0]
+        assignments[0, 0] = 5
+        assert allocation.machine_assignment[0] == 0
+        with pytest.raises(ValueError):
+            allocation.scheduling_order[0] = 9
+
+    @pytest.mark.parametrize("assignments, orders", [
+        (np.array([[0, 1]]), np.array([[0, 1, 2]])),
+        (np.array([0, 1]), np.array([0, 1])),
+        (np.array([[-1, 0]]), np.array([[0, 1]])),
+        (np.empty((2, 0), dtype=int), np.empty((2, 0), dtype=int)),
+    ])
+    def test_invalid_rejected(self, assignments, orders):
+        with pytest.raises(ScheduleError):
+            ResourceAllocation.from_rows(assignments, orders)
+
+
 class TestValidation:
     def test_machine_range(self):
         a = make_alloc()
