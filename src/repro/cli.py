@@ -58,7 +58,7 @@ from typing import Optional, Sequence
 # each handler imports its own driver, so a verb loads only its layers.
 from repro.core.registry import available_algorithms
 from repro.heuristics import SEEDING_HEURISTICS
-from repro.sim.evaluator import DEFAULT_KERNEL_METHOD, ScheduleEvaluator
+from repro.sim.evaluator import ScheduleEvaluator
 
 __all__ = ["main"]
 
@@ -163,7 +163,6 @@ def _cmd_report(args: argparse.Namespace, resume: bool = False) -> int:
         population_size=args.population,
         base_seed=args.seed,
         algorithm=args.algorithm,
-        kernel_method=args.kernel_method,
     )
     obs = _obs_from_args(args, command="resume" if resume else "report",
                          seed=args.seed)
@@ -210,8 +209,7 @@ def _cmd_reproduce_all(args: argparse.Namespace) -> int:
             workers=args.workers,
             transport=args.transport,
             algorithm=args.algorithm,
-            kernel_method=args.kernel_method,
-            obs=obs,
+                obs=obs,
         )
     finally:
         _flush_obs(obs)
@@ -235,8 +233,7 @@ def _cmd_repetitions(args: argparse.Namespace) -> int:
             workers=args.workers,
             transport=args.transport,
             algorithm=args.algorithm,
-            kernel_method=args.kernel_method,
-            grid_dir=getattr(args, "grid_dir", None),
+                grid_dir=getattr(args, "grid_dir", None),
             obs=obs,
         )
     finally:
@@ -280,7 +277,6 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
         generations=args.generations,
         checkpoints=(args.generations,),
         base_seed=args.seed,
-        kernel_method=args.kernel_method,
     )
     obs = _obs_from_args(args, command="portfolio", seed=args.seed)
     try:
@@ -496,17 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="optimizer from the portfolio registry "
                        "(default: nsga2)")
 
-    def _add_kernel_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--kernel-method",
-                       choices=["fast", "reference", "batch",
-                                "batch-reference"],
-                       default=DEFAULT_KERNEL_METHOD,
-                       help="evaluation kernel: the population-at-once "
-                       "'batch' kernel with queue-state reuse (default) "
-                       "and its scalar oracle 'batch-reference', or the "
-                       "per-row 'fast' kernel and its oracle 'reference' "
-                       "(see docs/performance.md)")
-
     def _add_workers_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=int, default=0,
                        help="process-pool size (0 = sequential); parallel "
@@ -542,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fail fast on the first exhausted population "
                        "instead of degrading gracefully")
         _add_algorithm_arg(p)
-        _add_kernel_arg(p)
         _add_obs_args(p)
 
     p_report = sub.add_parser(
@@ -567,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_all.add_argument("--population", type=int, default=100)
     _add_workers_args(p_all)
     _add_algorithm_arg(p_all)
-    _add_kernel_arg(p_all)
     _add_obs_args(p_all)
 
     p_rep = sub.add_parser(
@@ -585,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--seed", type=int, default=2013)
     _add_workers_args(p_rep)
     _add_algorithm_arg(p_rep)
-    _add_kernel_arg(p_rep)
     _add_grid_dir_arg(p_rep)
     _add_obs_args(p_rep)
 
@@ -608,7 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_port.add_argument("--no-exact", action="store_true",
                         help="skip the exact baseline and its "
                         "distance-to-optimal columns")
-    _add_kernel_arg(p_port)
     _add_grid_dir_arg(p_port)
     _add_obs_args(p_port)
 

@@ -131,7 +131,9 @@ def repair_mapped_seeds(
     S, T = donors.shape[0], types.shape[0]
     assignments = np.empty((S, T), dtype=np.int64)
     rows = np.arange(S)[:, None]
-    for t in np.unique(types):
+    # Ascending distinct types, as np.unique would give them — but
+    # np.unique's first call imports numpy.ma (~17 ms) mid-service.
+    for t in np.flatnonzero(np.bincount(types)):
         at = np.flatnonzero(types == t)
         pool = np.flatnonzero(donor_types == t)
         if pool.size:

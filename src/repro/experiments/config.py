@@ -14,9 +14,16 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.errors import ExperimentError
-from repro.sim.evaluator import DEFAULT_KERNEL_METHOD
 
-__all__ = ["ExperimentConfig", "scaled_checkpoints", "default_scale"]
+__all__ = ["ExperimentConfig", "SPEC_VERSION", "scaled_checkpoints",
+           "default_scale"]
+
+#: Version of the evaluation semantics a spec records.  Version 2 is
+#: the single batch-kernel evaluator.  Specs without the key predate it:
+#: they named a kernel or, older still, implied the retired ``fast``
+#: one.  Their grids' fingerprints therefore differ, and their cells
+#: are rotated aside instead of mixed with current results.
+SPEC_VERSION = 2
 
 #: Scale applied to paper checkpoint generation counts when the caller
 #: does not override it.  0.002 maps the paper's (100, 1e3, 1e4, 1e5)
@@ -86,13 +93,6 @@ class ExperimentConfig:
         ``"nsga2-ss"``, ``"spea2"``, ``"moead"``, ``"eps-archive"``).
         A plain string so the choice travels to parallel pool workers
         inside pickled cell extras.
-    kernel_method:
-        Evaluation kernel for the schedule evaluator (``"fast"``,
-        ``"reference"``, ``"batch"``, ``"batch-reference"``; see
-        :class:`repro.sim.evaluator.ScheduleEvaluator`).  Part of the
-        spec because batch modes differ from ``fast`` in the last
-        float bits (different summation association), which can steer
-        selection differently over many generations.
     """
 
     population_size: int = 100
@@ -101,16 +101,8 @@ class ExperimentConfig:
     checkpoints: tuple[int, ...] = (1, 2, 20, 200)
     base_seed: int = 2013
     algorithm: str = "nsga2"
-    kernel_method: str = DEFAULT_KERNEL_METHOD
 
     def __post_init__(self) -> None:
-        if self.kernel_method not in (
-            "fast", "reference", "batch", "batch-reference"
-        ):
-            raise ExperimentError(
-                "kernel_method must be one of 'fast', 'reference', "
-                f"'batch', 'batch-reference'; got {self.kernel_method!r}"
-            )
         if self.population_size < 2:
             raise ExperimentError(
                 f"population_size must be >= 2, got {self.population_size}"
@@ -137,18 +129,21 @@ class ExperimentConfig:
         silently reused.
         """
         return {
+            "spec_version": SPEC_VERSION,
             "population_size": self.population_size,
             "mutation_probability": self.mutation_probability,
             "generations": self.generations,
             "checkpoints": list(self.checkpoints),
             "base_seed": self.base_seed,
             "algorithm": self.algorithm,
-            "kernel_method": self.kernel_method,
         }
 
     @classmethod
     def from_spec(cls, spec: dict) -> "ExperimentConfig":
-        """Rebuild a config from :meth:`to_spec` output (grid re-drive)."""
+        """Rebuild a config from :meth:`to_spec` output (grid re-drive).
+
+        Keys of older spec versions are ignored: the rebuilt config's
+        spec is current, so re-driving an older grid rotates it."""
         return cls(
             population_size=spec["population_size"],
             mutation_probability=spec["mutation_probability"],
@@ -156,7 +151,6 @@ class ExperimentConfig:
             checkpoints=tuple(spec["checkpoints"]),
             base_seed=spec["base_seed"],
             algorithm=spec.get("algorithm", "nsga2"),
-            kernel_method=spec.get("kernel_method", "fast"),
         )
 
     def algorithm_config(self):
@@ -182,7 +176,6 @@ class ExperimentConfig:
         mutation_probability: float = 0.25,
         base_seed: int = 2013,
         algorithm: str = "nsga2",
-        kernel_method: str = DEFAULT_KERNEL_METHOD,
     ) -> "ExperimentConfig":
         """Config with scaled versions of the paper's checkpoints."""
         cps = scaled_checkpoints(paper_checkpoints, scale)
@@ -193,5 +186,4 @@ class ExperimentConfig:
             checkpoints=tuple(cps),
             base_seed=base_seed,
             algorithm=algorithm,
-            kernel_method=kernel_method,
         )

@@ -28,7 +28,6 @@ from repro.experiments.runner import (
     SeededPopulationResult,
     run_seeded_populations,
 )
-from repro.sim.evaluator import DEFAULT_KERNEL_METHOD
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.context import RunContext
@@ -124,7 +123,6 @@ def _run_figure(
     workers: int = 0,
     transport: str = "auto",
     algorithm: str = "nsga2",
-    kernel_method: str = DEFAULT_KERNEL_METHOD,
     obs: Optional["RunContext"] = None,
 ) -> FigureResult:
     paper = PAPER_CHECKPOINTS[name]
@@ -136,7 +134,6 @@ def _run_figure(
             mutation_probability=mutation_probability,
             base_seed=base_seed,
             algorithm=algorithm,
-            kernel_method=kernel_method,
         )
     else:
         cps = tuple(checkpoints)
@@ -147,7 +144,6 @@ def _run_figure(
             checkpoints=cps,
             base_seed=base_seed,
             algorithm=algorithm,
-            kernel_method=kernel_method,
         )
     if obs is not None and obs.enabled:
         obs = obs.bind(figure=name)
@@ -172,7 +168,6 @@ def figure3(
     workers: int = 0,
     transport: str = "auto",
     algorithm: str = "nsga2",
-    kernel_method: str = DEFAULT_KERNEL_METHOD,
     obs: Optional["RunContext"] = None,
 ) -> FigureResult:
     """Figure 3: the real historical data set (data set 1)."""
@@ -181,7 +176,7 @@ def figure3(
         "figure3", ds, checkpoints, population_size,
         mutation_probability, base_seed, scale,
         workers=workers, transport=transport, algorithm=algorithm,
-        kernel_method=kernel_method, obs=obs,
+        obs=obs,
     )
 
 
@@ -195,7 +190,6 @@ def figure4(
     workers: int = 0,
     transport: str = "auto",
     algorithm: str = "nsga2",
-    kernel_method: str = DEFAULT_KERNEL_METHOD,
     obs: Optional["RunContext"] = None,
 ) -> FigureResult:
     """Figure 4: the 1000-task synthetic data set (data set 2)."""
@@ -204,7 +198,7 @@ def figure4(
         "figure4", ds, checkpoints, population_size,
         mutation_probability, base_seed, scale,
         workers=workers, transport=transport, algorithm=algorithm,
-        kernel_method=kernel_method, obs=obs,
+        obs=obs,
     )
 
 
@@ -218,7 +212,6 @@ def figure6(
     workers: int = 0,
     transport: str = "auto",
     algorithm: str = "nsga2",
-    kernel_method: str = DEFAULT_KERNEL_METHOD,
     obs: Optional["RunContext"] = None,
 ) -> FigureResult:
     """Figure 6: the 4000-task synthetic data set (data set 3)."""
@@ -227,7 +220,7 @@ def figure6(
         "figure6", ds, checkpoints, population_size,
         mutation_probability, base_seed, scale,
         workers=workers, transport=transport, algorithm=algorithm,
-        kernel_method=kernel_method, obs=obs,
+        obs=obs,
     )
 
 

@@ -155,8 +155,7 @@ def run_portfolio(
 
     for name in todo:
         evaluator = ScheduleEvaluator(
-            dataset.system, dataset.trace, check_feasibility=False,
-            kernel_method=config.kernel_method, obs=obs
+            dataset.system, dataset.trace, check_feasibility=False, obs=obs
         )
         engine = make_algorithm(
             name,
@@ -196,8 +195,7 @@ def run_portfolio(
     exact = None
     if exact_epsilon is not None:
         evaluator = ScheduleEvaluator(
-            dataset.system, dataset.trace, check_feasibility=False,
-            kernel_method=config.kernel_method
+            dataset.system, dataset.trace, check_feasibility=False
         )
         with obs.span("portfolio.exact_baseline"):
             exact = exact_energy_utility_front(evaluator, epsilon=exact_epsilon)

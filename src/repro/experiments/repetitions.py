@@ -26,6 +26,7 @@ from repro.analysis.pareto_front import ParetoFront
 from repro.core.algorithm import AlgorithmConfig
 from repro.core.registry import AlgorithmFactory, make_algorithm
 from repro.errors import ExperimentError
+from repro.experiments.config import SPEC_VERSION
 from repro.experiments.datasets import DatasetBundle
 from repro.experiments.runner import RetryPolicy
 from repro.heuristics import SEEDING_HEURISTICS
@@ -34,7 +35,7 @@ from repro.obs.distributed import GRID_SPAN_NAME, WorkerTelemetryConfig
 from repro.parallel.descriptors import publish_dataset
 from repro.parallel.engine import CellReply, ParallelEngine, worker_obs
 from repro.rng import derive_seed, ensure_rng
-from repro.sim.evaluator import DEFAULT_KERNEL_METHOD, ScheduleEvaluator
+from repro.sim.evaluator import ScheduleEvaluator
 from repro.types import FloatArray
 
 __all__ = ["HypervolumeStats", "RepetitionResult", "run_repetitions"]
@@ -80,10 +81,10 @@ class RepetitionResult:
         return len(self.fronts)
 
 
-#: Per-worker memo of evaluators keyed by (dataset id, kernel method) —
-#: one evaluation cache per (worker, dataset, kernel), shared by every
-#: repetition cell the worker executes.  Cache hits are bit-identical
-#: to fresh evaluations, so sharing never perturbs results.
+#: Per-worker memo of evaluators keyed by dataset id — one queue-state
+#: cache per (worker, dataset), shared by every repetition cell the
+#: worker executes.  Cache hits are bit-identical to fresh
+#: evaluations, so sharing never perturbs results.
 _CELL_EVALUATORS: dict[str, ScheduleEvaluator] = {}
 
 
@@ -100,12 +101,10 @@ def _repetition_cell(restored, extra: dict, r: int, attempt: int, payload) -> Fl
     fault_hook = extra.get("fault_hook")
     if fault_hook is not None:
         fault_hook(r, attempt)
-    kernel_method = extra.get("kernel_method", "fast")
-    memo_key = f"{restored.handle.dataset_id}:{kernel_method}"
+    memo_key = restored.handle.dataset_id
     evaluator = _CELL_EVALUATORS.get(memo_key)
     if evaluator is None:
-        evaluator = restored.make_evaluator(check_feasibility=False,
-                                            kernel_method=kernel_method)
+        evaluator = restored.make_evaluator(check_feasibility=False)
         _CELL_EVALUATORS[memo_key] = evaluator
     dataset = restored.bundle
     seed_label = extra["seed_label"]
@@ -138,7 +137,6 @@ def run_repetitions(
     transport: str = "auto",
     retry: Optional[RetryPolicy] = None,
     algorithm: Union[str, AlgorithmFactory] = "nsga2",
-    kernel_method: str = DEFAULT_KERNEL_METHOD,
     grid_dir: Optional[str] = None,
     fault_hook=None,
     obs: Optional[RunContext] = None,
@@ -183,12 +181,6 @@ def run_repetitions(
         callable with the :class:`~repro.core.algorithm.Algorithm`
         constructor signature.  Parallel runs require the value to be
         picklable (registry names always are).
-    kernel_method:
-        Evaluation kernel threaded into every repetition's evaluator
-        (``"fast"``, ``"reference"``, ``"batch"``,
-        ``"batch-reference"``; see
-        :class:`~repro.sim.evaluator.ScheduleEvaluator`).  Part of the
-        grid spec: changing it invalidates cached cells.
     grid_dir:
         Directory for the durable grid manifest + result store (see
         :mod:`repro.experiments.grid`).  Every repetition's lifecycle
@@ -238,6 +230,7 @@ def run_repetitions(
         from repro.experiments.grid import GridBinding
 
         spec = {
+            "spec_version": SPEC_VERSION,
             "driver": "repetitions",
             "dataset": {"name": dataset.name, "seed": dataset.seed},
             "repetitions": repetitions,
@@ -247,7 +240,6 @@ def run_repetitions(
             "seed_label": seed_label,
             "base_seed": base_seed,
             "algorithm": algorithm,
-            "kernel_method": kernel_method,
         }
         binding = GridBinding.open_or_create(
             grid_dir, spec=spec, dataset=dataset,
@@ -270,14 +262,12 @@ def run_repetitions(
             dataset, todo, generations, population_size,
             mutation_probability, seed_label, base_seed, workers,
             transport, retry, seeds, obs, algorithm,
-            kernel_method=kernel_method,
             fronts_by_r=fronts_by_r, binding=binding,
             fault_hook=fault_hook,
         )
     elif todo:
         evaluator = ScheduleEvaluator(dataset.system, dataset.trace,
-                                      check_feasibility=False,
-                                      kernel_method=kernel_method, obs=obs)
+                                      check_feasibility=False, obs=obs)
         for r in todo:
             if fault_hook is not None:
                 fault_hook(r, 1)
@@ -351,7 +341,6 @@ def _run_repetitions_parallel(
     obs: RunContext,
     algorithm: Union[str, AlgorithmFactory] = "nsga2",
     *,
-    kernel_method: str = DEFAULT_KERNEL_METHOD,
     fronts_by_r: dict,
     binding=None,
     fault_hook=None,
@@ -375,7 +364,6 @@ def _run_repetitions_parallel(
         "base_seed": base_seed,
         "seeds": seeds,
         "algorithm": algorithm,
-        "kernel_method": kernel_method,
         "fault_hook": fault_hook,
     }
     backoff_rngs: dict[int, np.random.Generator] = {}

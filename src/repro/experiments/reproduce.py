@@ -32,7 +32,6 @@ from repro.experiments.figures import figure3, figure4, figure5, figure6
 from repro.experiments.io import save_figure_result
 from repro.experiments.tables import render_table1, render_table2, render_table3
 from repro.utility.tuf import TimeUtilityFunction
-from repro.sim.evaluator import DEFAULT_KERNEL_METHOD
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.context import RunContext
@@ -75,7 +74,6 @@ def reproduce_all(
     workers: int = 0,
     transport: str = "auto",
     algorithm: str = "nsga2",
-    kernel_method: str = DEFAULT_KERNEL_METHOD,
     progress: Optional[Callable[[str], None]] = print,
     obs: Optional["RunContext"] = None,
 ) -> Path:
@@ -102,10 +100,6 @@ def reproduce_all(
     algorithm:
         Registered optimizer name driving every figure run (default
         ``"nsga2"``; see :func:`repro.core.registry.available_algorithms`).
-    kernel_method:
-        Evaluation kernel for every figure run (``"fast"`` default;
-        ``"batch"`` enables the population-at-once kernel with
-        queue-state reuse — see ``docs/performance.md``).
     progress:
         Callable receiving status lines (``None`` silences).
     obs:
@@ -132,7 +126,6 @@ def reproduce_all(
         f"base seed: {base_seed}",
         f"population size: {population_size}",
         f"algorithm: {algorithm}",
-        f"kernel method: {kernel_method}",
         "",
     ]
 
@@ -164,7 +157,6 @@ def reproduce_all(
             workers=workers,
             transport=transport,
             algorithm=algorithm,
-            kernel_method=kernel_method,
             obs=obs,
         )
         if name == "figure4":

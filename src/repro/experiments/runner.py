@@ -251,7 +251,6 @@ def _run_one_population(
     evaluator = ScheduleEvaluator(dataset.system, dataset.trace,
                                   check_feasibility=False,
                                   fault_hook=evaluation_fault_hook,
-                                  kernel_method=config.kernel_method,
                                   obs=obs)
     ga = make_algorithm(
         config.algorithm,
@@ -402,8 +401,7 @@ def run_seeded_populations(
             Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
 
     evaluator = ScheduleEvaluator(dataset.system, dataset.trace,
-                                  check_feasibility=False,
-                                  kernel_method=config.kernel_method)
+                                  check_feasibility=False)
 
     # Build each heuristic's allocation once (shared across labels).
     heuristic_allocs: dict[str, ResourceAllocation] = {}
@@ -607,7 +605,6 @@ def _population_cell(
     evaluator = restored.make_evaluator(
         check_feasibility=False,
         fault_hook=extra["evaluation_fault_hook"],
-        kernel_method=config.kernel_method,
     )
     ga = make_algorithm(
         config.algorithm,

@@ -30,7 +30,7 @@ from repro.errors import ExperimentError
 from repro.heuristics import MinMinCompletionTime
 from repro.model.system import SystemModel
 from repro.rng import derive_seed
-from repro.sim.evaluator import DEFAULT_KERNEL_METHOD, ScheduleEvaluator
+from repro.sim.evaluator import ScheduleEvaluator
 from repro.workload.generator import WorkloadGenerator
 
 __all__ = ["LoadPoint", "oversubscription_sweep", "offered_load"]
@@ -81,7 +81,6 @@ def oversubscription_sweep(
     generations: int = 60,
     population_size: int = 40,
     base_seed: int = 2013,
-    kernel_method: str = DEFAULT_KERNEL_METHOD,
 ) -> list[LoadPoint]:
     """Sweep trace sizes over one system (see module docstring).
 
@@ -100,8 +99,7 @@ def oversubscription_sweep(
         trace = generator.generate(
             count, window, seed=derive_seed(base_seed, "sweep", count)
         )
-        evaluator = ScheduleEvaluator(system, trace, check_feasibility=False,
-                                      kernel_method=kernel_method)
+        evaluator = ScheduleEvaluator(system, trace, check_feasibility=False)
         seed_alloc = MinMinCompletionTime().build(system, trace)
         ga = NSGA2(
             evaluator,

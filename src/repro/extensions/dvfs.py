@@ -29,7 +29,7 @@ from repro.errors import ModelError
 from repro.model.machine import Machine, MachineType
 from repro.model.matrices import EPCMatrix, ETCMatrix
 from repro.model.system import SystemModel
-from repro.sim.evaluator import DEFAULT_KERNEL_METHOD, ScheduleEvaluator
+from repro.sim.evaluator import ScheduleEvaluator
 from repro.types import IntArray
 from repro.workload.trace import Trace
 
@@ -152,7 +152,6 @@ def make_dvfs_evaluator(
     trace: Trace,
     pstates: Sequence[PState] = DVFS_PRESETS,
     check_feasibility: bool = False,
-    kernel_method: str = DEFAULT_KERNEL_METHOD,
 ) -> ScheduleEvaluator:
     """A schedule evaluator over the DVFS-expanded virtual machine space.
 
@@ -166,5 +165,4 @@ def make_dvfs_evaluator(
         virtual, trace,
         check_feasibility=check_feasibility,
         queue_groups=queue_groups,
-        kernel_method=kernel_method,
     )

@@ -30,9 +30,9 @@ from repro.core.nsga2 import GenerationSnapshot
 from repro.errors import ScheduleError
 from repro.model.system import SystemModel
 from repro.rng import SeedLike, ensure_rng
-from repro.sim.evaluator import _segmented_finish_times
+from repro.sim.batchkernel import fold_queues, queue_order, row_totals
 from repro.sim.schedule import ResourceAllocation
-from repro.types import FloatArray
+from repro.types import FloatArray, IntArray
 from repro.utility.vectorized import TUFTable
 from repro.workload.trace import Trace
 
@@ -137,9 +137,8 @@ class RobustnessAnalyzer:
     def analyze(self, allocation: ResourceAllocation) -> RobustnessReport:
         """Monte-Carlo report for one allocation.
 
-        All noise draws are evaluated in a single segmented pass: the S
-        samples are laid out like S chromosomes sharing the allocation
-        but with perturbed execution times.
+        All noise draws are evaluated in a single pass (see
+        :meth:`_simulate`).
         """
         if allocation.num_tasks != self.trace.num_tasks:
             raise ScheduleError(
@@ -149,42 +148,23 @@ class RobustnessAnalyzer:
         T = self.trace.num_tasks
         S = self.samples
         assignment = allocation.machine_assignment
-        base_exec = self._etc_rows[self._row_index, assignment]
-        power = self._epc_rows[self._row_index, assignment]
-        if not np.all(np.isfinite(base_exec)):
+        if not np.all(np.isfinite(self._etc_rows[self._row_index, assignment])):
             raise ScheduleError("allocation places tasks on infeasible machines")
 
-        # Nominal (noise-free) evaluation.
-        nominal_finish = _segmented_finish_times(
-            assignment, allocation.scheduling_order, self._arrivals, base_exec
+        # Nominal (noise-free) evaluation, then S perturbed ones.
+        (nominal_energy,), (nominal_utility,), _ = self._simulate(
+            assignment, allocation.scheduling_order, np.ones((1, T))
         )
-        nominal_utility = float(
-            self._tuf.evaluate(self._task_types, nominal_finish - self._arrivals).sum()
-        )
-        nominal_energy = float((base_exec * power).sum())
-
-        # S perturbed evaluations in one pass.
         factors = self.noise.sample((S, T), self._rng)
-        exec_times = (base_exec[None, :] * factors).ravel()
-        group = (
-            np.tile(assignment, S)
-            + np.repeat(np.arange(S, dtype=np.int64), T) * self.system.num_machines
+        energies, utilities, _ = self._simulate(
+            assignment, allocation.scheduling_order, factors
         )
-        orders = np.tile(allocation.scheduling_order, S)
-        arrivals = np.tile(self._arrivals, S)
-        finish = _segmented_finish_times(group, orders, arrivals, exec_times)
-        elapsed = finish - arrivals
-        utilities = self._tuf.evaluate(
-            np.tile(self._task_types, S), elapsed
-        ).reshape(S, T).sum(axis=1)
-        energies = (exec_times * np.tile(power, S)).reshape(S, T).sum(axis=1)
-
         within = np.mean(
             utilities >= (1.0 - self.tolerance) * nominal_utility
         )
         return RobustnessReport(
-            nominal_energy=nominal_energy,
-            nominal_utility=nominal_utility,
+            nominal_energy=float(nominal_energy),
+            nominal_utility=float(nominal_utility),
             mean_energy=float(energies.mean()),
             std_energy=float(energies.std()),
             mean_utility=float(utilities.mean()),
@@ -194,6 +174,35 @@ class RobustnessAnalyzer:
             prob_within_tolerance=float(within),
             samples=S,
         )
+
+    def _simulate(
+        self, assignment: IntArray, order: IntArray, factors: FloatArray
+    ) -> tuple[FloatArray, FloatArray, FloatArray]:
+        """Per-row ``(energies, utilities, finish)`` of one allocation
+        under the ``(R, T)`` runtime *factors*.
+
+        The R rows are laid out like R chromosomes sharing the
+        allocation but with scaled execution times, and go through the
+        simulator's queue fold in one pass.
+        """
+        R, T = factors.shape
+        M = self.system.num_machines
+        exec_times = self._etc_rows[self._row_index, assignment] * factors
+        power = self._epc_rows[self._row_index, assignment]
+        seg = (assignment + (np.arange(R, dtype=np.int64) * M)[:, None]).ravel()
+        perm = queue_order(seg, np.tile(order, R))
+        task = perm % T
+        e = exec_times.reshape(-1)[perm]
+        folds = fold_queues(
+            seg[perm], e, self._arrivals[task], self._task_types[task],
+            e * power[task], self._tuf,
+        )
+        per_queue = np.zeros((2, R * M))
+        per_queue[:, folds.ids] = folds.ue
+        utilities, energies = row_totals(per_queue.reshape(2, R, M))
+        finish = np.empty(R * T)
+        finish[perm] = folds.finish
+        return energies, utilities, finish.reshape(R, T)
 
 
 def front_robustness(

@@ -61,29 +61,29 @@ class MinMinCompletionTime(SeedingHeuristic):
         available = np.zeros(M, dtype=np.float64)
         assignment = np.empty(T, dtype=np.int64)
         order = np.empty(T, dtype=np.int64)
-        unmapped = np.ones(T, dtype=bool)
 
-        # Stage-1 cache: best machine and completion per task.
+        # Stage-1 cache: best machine and completion per task.  A mapped
+        # task is marked best_c = +inf, best_m = -1, so it never wins
+        # stage 2 and never matches an updated machine.
         completion = np.maximum(available[None, :], arrivals[:, None]) + etc
         best_m = np.argmin(completion, axis=1)
         best_c = completion[np.arange(T), best_m]
 
         for k in range(T):
             # Stage 2: the overall minimum completion among unmapped tasks.
-            masked = np.where(unmapped, best_c, np.inf)
-            t = int(np.argmin(masked))
+            t = int(np.argmin(best_c))
             m = int(best_m[t])
             assignment[t] = m
             order[t] = k
-            unmapped[t] = False
             available[m] = best_c[t]
+            best_c[t] = np.inf
+            best_m[t] = -1
 
             # Invalidate only tasks whose cached best is the updated
             # machine: availabilities never decrease, so other caches
             # stay exact (see module docstring).
-            stale = unmapped & (best_m == m)
-            if np.any(stale):
-                rows = np.flatnonzero(stale)
+            rows = np.flatnonzero(best_m == m)
+            if rows.size:
                 recomputed_rows += rows.size
                 invalidation_rounds += 1
                 comp = np.maximum(available[None, :], arrivals[rows, None]) + etc[rows]

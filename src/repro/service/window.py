@@ -10,13 +10,14 @@ task committed so far), so committed tasks sort strictly before free
 tasks in every machine queue.
 
 Each queue's committed prefix is therefore the same for every
-chromosome of a window, and so are the end values of the batch
-kernel's four folds over it (:mod:`repro.sim.batchkernel`): the
+chromosome of a window, and so are the end values of the four queue
+folds over it (:func:`~repro.sim.batchkernel.fold_queues`): the
 exec-time sum, the running maximum of ``arrival − preceding sum``, and
 the utility and energy partials.  :class:`PrefixState` holds them per
-machine, and :class:`WindowEvaluator` continues the folds over the free
-tasks only — O(free tasks) per chromosome instead of O(horizon), with
-every objective bit-identical to folding the whole horizon.
+machine, and :class:`WindowEvaluator` continues the folds from them as
+the seed column, over the free tasks only — O(free tasks) per
+chromosome instead of O(horizon), with every objective bit-identical
+to folding the whole horizon.
 
 :class:`CommittedLedger` is the durable record of dispatched tasks.
 Objectives are service-cumulative: horizon totals plus the ledger's
@@ -35,8 +36,13 @@ import numpy as np
 
 from repro.errors import ScheduleError
 from repro.obs.context import NULL_CONTEXT
-from repro.sim.batchkernel import _column_left_folds
-from repro.sim.evaluator import EvaluationResult, _KernelScratch, _queue_order
+from repro.sim.batchkernel import (
+    SortScratch,
+    fold_queues,
+    queue_order,
+    row_totals,
+)
+from repro.sim.evaluator import EvaluationResult
 from repro.types import FloatArray, IntArray
 from repro.utility.vectorized import TUFTable
 from repro.workload.trace import Trace
@@ -182,7 +188,9 @@ class CommittedLedger:
         if C == 0:
             return 0
         drop = np.zeros(C, dtype=bool)
-        for m in np.unique(self.machine_assignment):
+        # Ascending machines in use (np.unique's first call would
+        # import numpy.ma mid-service).
+        for m in np.flatnonzero(np.bincount(self.machine_assignment)):
             idx = np.flatnonzero(self.machine_assignment == m)
             queue = idx[np.argsort(self.order_keys[idx], kind="stable")]
             finishes = self.finish_times[queue]
@@ -267,82 +275,27 @@ class PrefixState:
         if k0 == C:
             return self
         machines = ledger.machine_assignment[k0:]
-        perm = _queue_order(machines, ledger.order_keys[k0:])
+        perm = queue_order(machines, ledger.order_keys[k0:])
         mach = machines[perm]
         types = ledger.task_types[k0:][perm]
-        ids, _, _, cs, rm, ue = _fold_queues(
-            mach, system.num_machines, self,
+        folds = fold_queues(
+            mach,
             system.etc_task_machine[types, mach],
             ledger.arrival_times[k0:][perm],
             types,
             system.eec_task_machine[types, mach],
             tuf_table,
+            seed=self.seed,
         )
-        folds = []
-        for old, new in ((self.cs_end, cs), (self.runmax_end, rm),
-                         (self.u_partial, ue[0]), (self.e_partial, ue[1])):
-            out = old.copy()
-            out[ids] = new
-            folds.append(out)
-        return PrefixState(ledger.epoch, C, *folds)
+        ends = [old.copy() for old in self.seed]
+        for out, new in zip(ends, (folds.cs_end, folds.runmax_end, *folds.ue)):
+            out[folds.ids] = new
+        return PrefixState(ledger.epoch, C, *ends)
 
-
-def _fold_queues(
-    seg: IntArray,
-    num_machines: int,
-    state: PrefixState,
-    exec_times: FloatArray,
-    arrivals: FloatArray,
-    task_types: IntArray,
-    energies: FloatArray,
-    tuf_table: TUFTable,
-):
-    """Continue the batch kernel's queue folds from *state*.
-
-    *seg* (segment id ``row × M + machine`` per element) is
-    nondecreasing, each segment's elements in queue order.  The planes
-    are ``BatchQueueKernel._compute_misses``'s with a leading column
-    (row, in the column fold) seeded from the machine's prefix state.
-
-    Returns ``(ids, finish, utility, cs_end, runmax_end, ue)``: segment
-    ids, per-element finish times and utilities, and per-segment end
-    values (``ue`` stacks the utility and energy folds).
-    """
-    n = seg.shape[0]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.not_equal(seg[1:], seg[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    segc = np.cumsum(new) - 1
-    ids = seg[starts]
-    S = ids.shape[0]
-    # Column 0 holds the seed, so element j of a segment sits in j + 1.
-    col = np.arange(1, n + 1) - starts[segc]
-    L = int(col.max()) + 1
-    mach = ids % num_machines
-
-    cs = np.zeros((S, L))
-    cs[:, 0] = state.cs_end[mach]
-    cs[segc, col] = exec_times
-    rm = np.full((S, L), -np.inf)
-    rm[:, 0] = state.runmax_end[mach]
-    rm[segc, col] = arrivals
-    # Padding (arrival -inf, exec 0.0) leaves the last column holding
-    # every segment's end values.
-    np.add.accumulate(cs, axis=1, out=cs)
-    np.subtract(rm[:, 1:], cs[:, :-1], out=rm[:, 1:])
-    np.maximum.accumulate(rm, axis=1, out=rm)
-    finish = rm[segc, col] + cs[segc, col]
-    utility = tuf_table.evaluate(task_types, finish - arrivals)
-
-    # W >= 2 keeps the column reduce a left fold.
-    plane = np.zeros((2, L, max(S, 2)))
-    plane[0, 0, :S] = state.u_partial[mach]
-    plane[1, 0, :S] = state.e_partial[mach]
-    plane[0, col, segc] = utility
-    plane[1, col, segc] = energies
-    ue = _column_left_folds(plane)[:, :S]
-    return ids, finish, utility, cs[:, -1], rm[:, -1], ue
+    @property
+    def seed(self) -> tuple[FloatArray, ...]:
+        """The per-machine fold start values, as ``fold_queues`` seeds."""
+        return (self.cs_end, self.runmax_end, self.u_partial, self.e_partial)
 
 
 class WindowEvaluator:
@@ -387,7 +340,7 @@ class WindowEvaluator:
         types = batch.task_types
         self._etc = system.etc_task_machine[types]
         self._eec = system.eec_task_machine[types]
-        self._scratch = _KernelScratch()
+        self._scratch = SortScratch()
         # GA-facing surface: the free tasks as their own trace (absolute
         # arrival times — feasibility only reads task types).
         self.system = system
@@ -412,8 +365,8 @@ class WindowEvaluator:
     # -- GA-facing evaluator surface ---------------------------------------
 
     def _fold(self, assignments: IntArray, orders: IntArray):
-        """``(perm, fold)``: the flat free elements' queue order and
-        :func:`_fold_queues` over it."""
+        """``(perm, folds)``: the flat free elements' queue order and
+        their folds, continued from the prefix state."""
         assignments = np.asarray(assignments, dtype=np.int64)
         orders = np.asarray(orders, dtype=np.int64)
         N, F = assignments.shape
@@ -425,30 +378,31 @@ class WindowEvaluator:
         M = self.num_machines
         seg = (assignments
                + (np.arange(N, dtype=np.int64) * M)[:, None]).reshape(-1)
-        perm = _queue_order(seg, orders.reshape(-1), self._scratch)
+        perm = queue_order(seg, orders.reshape(-1), self._scratch)
         sseg = seg[perm]
         task = perm % F
         mach = sseg - (perm // F) * M
-        fold = _fold_queues(
-            sseg, M, self.prefix,
+        folds = fold_queues(
+            sseg,
             self._etc[task, mach],
             self.batch.arrival_times[task],
             self.batch.task_types[task],
             self._eec[task, mach],
             self._tuf_table,
+            seed=self.prefix.seed,
         )
-        return perm, fold
+        return perm, folds
 
     def _totals(
         self, N: int, ids: IntArray, ue: FloatArray
     ) -> tuple[FloatArray, FloatArray]:
         """Service-cumulative per-row ``(energies, utilities)``: the
-        kernel's left fold over machines, from the prefix partials."""
+        left fold over machines, from the prefix partials."""
         q = np.empty((2, N, self.num_machines))
         q[0] = self.prefix.u_partial
         q[1] = self.prefix.e_partial
         q.reshape(2, -1)[:, ids] = ue
-        utilities, energies = np.add.accumulate(q, axis=2)[:, :, -1]
+        utilities, energies = row_totals(q)
         ledger = self.ledger
         if ledger.energy_offset or ledger.utility_offset:
             energies = energies + ledger.energy_offset
@@ -463,8 +417,8 @@ class WindowEvaluator:
         N = len(assignments)
         if N == 0:
             return np.empty(0), np.empty(0)
-        _, (ids, _, _, _, _, ue) = self._fold(assignments, orders)
-        result = self._totals(N, ids, ue)
+        _, folds = self._fold(assignments, orders)
+        result = self._totals(N, folds.ids, folds.ue)
         self.elements_total += N * (self.committed + self.num_tasks)
         self.elements_reused += N * self.committed
         if self.obs.enabled:
@@ -485,15 +439,15 @@ class WindowEvaluator:
         row's service-cumulative totals, as :meth:`evaluate_batch`'s.
         """
         assignment = np.asarray(assignment, dtype=np.int64)
-        perm, (ids, finish, utility, _, _, ue) = self._fold(
+        perm, folds = self._fold(
             assignment[None, :], np.asarray(order)[None, :]
         )
-        energies, utilities = self._totals(1, ids, ue)
+        energies, utilities = self._totals(1, folds.ids, folds.ue)
         tasks = np.arange(self.num_tasks)
         completion = np.empty(self.num_tasks)
-        completion[perm] = finish
+        completion[perm] = folds.finish
         task_utilities = np.empty(self.num_tasks)
-        task_utilities[perm] = utility
+        task_utilities[perm] = folds.utility
         return EvaluationResult(
             energy=float(energies[0]),
             utility=float(utilities[0]),

@@ -7,11 +7,12 @@ total energy consumed ``E`` (Eq. 3) — plus auxiliary schedule metrics.
 
 Two implementations with identical semantics:
 
-* :mod:`repro.sim.evaluator` — the fast path.  The per-machine queue
-  recurrence ``f_i = max(f_{i-1}, a_i) + e_i`` is solved in closed form
-  with segmented cumulative sums and a segmented running maximum, so
-  evaluating a chromosome is pure vectorized NumPy (no Python loop
-  over tasks), and whole populations evaluate in one shot.
+* :mod:`repro.sim.evaluator` — the production path.  The per-machine
+  queue recurrence ``f_i = max(f_{i-1}, a_i) + e_i`` is solved in
+  closed form by one queue fold (:mod:`repro.sim.batchkernel`: a
+  cumulative sum plus a running maximum per queue), so evaluating a
+  chromosome is pure vectorized NumPy (no Python loop over tasks), and
+  whole populations evaluate in one shot.
 * :mod:`repro.sim.events` — a plain sequential reference simulator
   used to validate the fast path (property-tested to bit-equality).
 """

@@ -1,38 +1,30 @@
-"""Population-at-once evaluation kernel with queue-state reuse caching.
+"""The queue fold, the population-at-once kernel built on it, and its oracle.
 
-The generational hot loop evaluates a ``(N, T)`` population tensor per
-step.  The ``fast``/``reference`` kernels in
-:mod:`repro.sim.evaluator` recompute every machine queue of every
-chromosome from scratch, and the chromosome-level cache in front of
-them only helps when an *entire* row recurs (~8% after crossover).
-This module reuses work at the granularity where the GA actually
-repeats itself: the per-machine queue — crossover offspring keep most
-parental queues intact even though almost no offspring row equals a
-parent row.
+Semantics (paper Section IV): tasks queue on their assigned machine in
+ascending ``(order key, task index)`` order; a task starts at
+``max(machine free, arrival)``, finishes its ETC later and earns
+``Υ_τ(completion − arrival)``; its energy is ``EEC(τ, Ω(m))``.
 
-Semantics
----------
-Within one queue, tasks run in ascending ``(order key, task index)``
-order.  With queue-local exec-time prefix sums ``cs_j`` (a sequential
-left fold) the finish time of the *j*-th queued task is::
+Fold
+----
+With queue-local exec-time prefix sums ``cs_j`` (a sequential left
+fold) the finish time of the *j*-th queued task is::
 
     f_j = max_{i <= j}(a_i - cs_{i-1}) + cs_j
 
-which this kernel evaluates with one ``cumsum`` and one
+:func:`fold_queues` evaluates this with one ``cumsum`` and one
 ``maximum.accumulate`` over a padded ``(queues, max_len)`` matrix.
 Per-queue utility and energy are sequential left folds in queue order,
 taken as one column reduce over a ``(2, max_len, queues)`` plane;
-per-chromosome totals are left folds over ascending queue id.  Every
-fold is queue-content-deterministic — a queue's numbers depend only on
-its own ordered content, never on the rest of the batch — which is what
-makes cached queue states exact: results are bit-identical with the
-cache on, off, across checkpoint resume, and across serial/parallel
-execution.  :func:`batch_reference_row` restates the same folds as
-scalar Python loops and is the exactness oracle for this kernel
-(``kernel_method="batch-reference"``).  Note the folds differ in the
-last float bits from the ``fast``/``reference`` kernels (different but
-equally valid summation associations); batch modes are pinned to *this*
-oracle, not to those kernels.
+per-row totals (:func:`row_totals`) are left folds over ascending
+queue id.  Every fold is queue-content-deterministic — a queue's
+numbers depend only on its own ordered content, never on the rest of
+the batch — which is what makes cached queue states exact: results are
+bit-identical with the cache on, off, across checkpoint resume, and
+across serial/parallel execution.  A seed column lets a caller continue
+the folds from a known queue prefix (the online service's committed
+queues).  :func:`batch_reference_row` restates the same folds as scalar
+Python loops; it is the exactness oracle, called from the tests.
 
 Queue-state reuse
 -----------------
@@ -53,15 +45,28 @@ process).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "BatchQueueKernel",
+    "FoldPool",
+    "QueueFolds",
     "QueueStateTable",
+    "SortScratch",
     "batch_reference_row",
+    "fold_queues",
+    "queue_order",
+    "row_totals",
 ]
+
+#: Default bound on cached queue states.  Sized from measured working
+#: sets at the benchmark scales: a 125-generation Figure-3 run inserts
+#: ~62k distinct queue states, so 2¹⁷ entries leave ~2× headroom before
+#: a capacity clear at ~10 MB of table.  Power of two so the
+#: open-addressing table uses it directly.
+DEFAULT_CACHE_SIZE = 131_072
 
 U64 = np.uint64
 _MIX1 = U64(0xFF51AFD7ED558CCD)
@@ -116,6 +121,201 @@ def _column_left_folds(plane: np.ndarray) -> np.ndarray:
     if plane.shape[2] < 2:
         raise ValueError(f"plane needs >= 2 columns; got {plane.shape[2]}")
     return np.add.reduce(plane, axis=1, initial=0.0)
+
+
+class SortScratch:
+    """Grow-only work buffers for :func:`queue_order`'s composite sort.
+
+    At batch scale fresh allocations are served by ``mmap`` and pay
+    first-touch page faults every call; one reusable set keeps the
+    pages resident.  Single-threaded per owner.
+    """
+
+    __slots__ = ("capacity", "arange", "comp", "tmp")
+
+    def __init__(self) -> None:
+        self.capacity = 0
+
+    def views(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(comp, tmp, arange)`` views of length *n*."""
+        if n > self.capacity:
+            capacity = max(n, 2 * self.capacity)
+            self.arange = np.arange(capacity, dtype=np.int64)
+            self.comp = np.empty(capacity, dtype=np.int64)
+            self.tmp = np.empty(capacity, dtype=np.int64)
+            self.capacity = capacity
+        return self.comp[:n], self.tmp[:n], self.arange[:n]
+
+
+def queue_order(
+    group: np.ndarray,
+    order_key: np.ndarray,
+    scratch: Optional[SortScratch] = None,
+) -> np.ndarray:
+    """Stable sort positions by ``(group, order_key, input index)``.
+
+    Fast path: when ``group × key × index`` fits a single int64
+    composite key, the index is appended in the low bits, making every
+    key unique — so sorting the keys themselves and masking off the
+    high bits yields exactly the stable ``argsort`` permutation, while
+    beating both the stable radix passes and the multi-pass
+    ``np.lexsort``.  All paths order ties identically.  The result
+    never aliases *scratch*.
+    """
+    n = group.shape[0]
+    gmin, gmax = int(group.min()), int(group.max())
+    omin, omax = int(order_key.min()), int(order_key.max())
+    key_range = omax - omin + 1
+    # Python-int arithmetic: no overflow while checking for overflow.
+    cmax = (gmax - gmin + 1) * key_range - 1
+    if cmax < 2**62:
+        shift = max(n - 1, 1).bit_length()
+        if (cmax << shift) | (n - 1) < 2**62:
+            if scratch is None:
+                scratch = SortScratch()
+            comp, tmp, arange = scratch.views(n)
+            np.subtract(group, gmin, out=comp)
+            comp *= key_range
+            np.subtract(order_key, omin, out=tmp)
+            comp += tmp
+            comp <<= shift
+            comp |= arange
+            comp.sort()
+            return comp & np.int64((1 << shift) - 1)
+        composite = (group - gmin) * np.int64(key_range) + (order_key - omin)
+        return np.argsort(composite, kind="stable")
+    return np.lexsort((order_key, group))
+
+
+class FoldPool:
+    """Grow-only flat buffer backing :func:`fold_queues`'s planes.
+
+    MB-scale fresh allocations would pay first-touch page faults on
+    every call; the kernel keeps one pool for its lifetime.
+    """
+
+    __slots__ = ("_buf",)
+
+    def __init__(self) -> None:
+        self._buf = np.empty(0)
+
+    def take(self, size: int) -> np.ndarray:
+        """A flat float64 view of *size* elements (contents undefined)."""
+        if size > self._buf.size:
+            self._buf = np.empty(max(size, 2 * self._buf.size))
+        return self._buf[:size]
+
+
+class QueueFolds(NamedTuple):
+    """:func:`fold_queues` output.
+
+    Per queue, in ascending label order: ``ids`` (the labels),
+    ``cs_end`` and ``runmax_end`` (the end values of the exec-time sum
+    and of the running maximum of ``arrival − preceding sum``) and
+    ``ue`` (``(2, queues)``: the utility and energy folds).  Per
+    element, in input order: ``finish`` and ``utility``.
+    """
+
+    ids: np.ndarray
+    finish: np.ndarray
+    utility: np.ndarray
+    cs_end: np.ndarray
+    runmax_end: np.ndarray
+    ue: np.ndarray
+
+
+def fold_queues(
+    seg: np.ndarray,
+    exec_times: np.ndarray,
+    arrivals: np.ndarray,
+    task_types: np.ndarray,
+    energies: np.ndarray,
+    tuf_table,
+    seed: Optional[Sequence[np.ndarray]] = None,
+    pool: Optional[FoldPool] = None,
+) -> QueueFolds:
+    """Fold every queue: finish times, utilities and per-queue folds.
+
+    *seg* labels each element's queue; it is nondecreasing, with each
+    queue's elements in queue order (as :func:`queue_order` sorts
+    them).  The other per-element arrays are aligned with it.
+
+    *seed*, when given, is ``(cs, runmax, utility, energy)``: per-queue
+    start values of the four folds, each of length ``Q``; a queue
+    labelled ``ℓ`` continues from entry ``ℓ mod Q`` (labels are
+    ``row × Q + queue``).  They sit in a leading plane column, so the
+    folds run exactly as over the whole queue they summarise.  Without
+    a seed every fold starts from empty (``0.0``, ``-inf``).
+    """
+    n = seg.shape[0]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(seg[1:], seg[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    # In-place arithmetic on the per-element index arrays: at batch
+    # scale each fresh one is an mmap with first-touch page faults.
+    segc = np.cumsum(new)
+    segc -= 1
+    ids = seg[starts]
+    S = starts.shape[0]
+    lead = 0 if seed is None else 1
+    col = np.arange(lead, n + lead)
+    col -= starts[segc]
+    L = int(np.diff(starts, append=n).max()) + lead
+    # One buffer backs both stages: the (S, L) finish-time planes are
+    # dead before the (2, L, W) utility/energy plane is written.  W >= 2
+    # keeps the column reduce a left fold.
+    W = max(S, 2)
+    size = 2 * L * W
+    buf = np.empty(size) if pool is None else pool.take(size)
+
+    # Finish times need every prefix: row-wise cumsum and running max
+    # (ufunc.accumulate reads each input element before writing its
+    # output slot, so both run in place).  Padding (arrival -inf, exec
+    # 0.0) leaves the last column holding every queue's end values.
+    cells = S * L
+    rm = buf[:cells].reshape(S, L)
+    cs = buf[cells:2 * cells].reshape(S, L)
+    rm.fill(-np.inf)
+    cs.fill(0.0)
+    flat_ix = segc * np.int64(L)
+    flat_ix += col
+    rm.reshape(-1)[flat_ix] = arrivals
+    cs.reshape(-1)[flat_ix] = exec_times
+    if seed is not None:
+        q = ids % seed[0].shape[0]
+        cs[:, 0] = seed[0][q]
+        rm[:, 0] = seed[1][q]
+    np.cumsum(cs, axis=1, out=cs)
+    # key_j = a_j - cs_{j-1}; unseeded, cs_{-1} = 0 (a - 0.0 == a).
+    np.subtract(rm[:, 1:], cs[:, :-1], out=rm[:, 1:])
+    np.maximum.accumulate(rm, axis=1, out=rm)
+    cs_end = cs[:, -1].copy()
+    runmax_end = rm[:, -1].copy()
+    np.add(rm, cs, out=rm)
+    finish = rm.reshape(-1)[flat_ix]
+    utility = tuf_table.evaluate(task_types, finish - arrivals)
+
+    plane = buf.reshape(2, L, W)
+    plane.fill(0.0)
+    col *= W  # now the flat plane index of each element
+    col += segc
+    plane[0].reshape(-1)[col] = utility
+    plane[1].reshape(-1)[col] = energies
+    if seed is not None:
+        plane[0, 0, :S] = seed[2][q]
+        plane[1, 0, :S] = seed[3][q]
+    ue = _column_left_folds(plane)[:, :S]
+    return QueueFolds(ids, finish, utility, cs_end, runmax_end, ue)
+
+
+def row_totals(per_queue: np.ndarray) -> np.ndarray:
+    """Per-row ``(utility, energy)`` of a ``(2, rows, queues)`` array.
+
+    Left folds over ascending queue id (``accumulate`` is sequential;
+    ``reduce`` would sum pairwise).  Returns ``(2, rows)``.
+    """
+    return np.add.accumulate(per_queue, axis=2)[:, :, -1]
 
 
 class _OpenAddressTable:
@@ -270,31 +470,27 @@ class BatchQueueKernel:
 
     Parameters
     ----------
-    use_cache:
-        ``False`` disables queue-state reuse (the ``cache_size=0``
-        configuration): every queue is recomputed each call.  Results
-        are bit-identical either way.
-    queue_slots_log2:
-        log₂ table size; the table clears itself at half load.
+    cache_size:
+        Entry budget of the queue-state table, which holds up to half
+        its slots (so the slot count doubles it); ``0`` disables
+        queue-state reuse and every queue is recomputed each call.
+        Results are bit-identical either way.
     """
 
-    def __init__(
-        self,
-        ev,
-        use_cache: bool = True,
-        queue_slots_log2: int = 18,
-    ) -> None:
+    def __init__(self, ev, cache_size: int = DEFAULT_CACHE_SIZE) -> None:
         self._etc_flat = ev._etc_flat
         self._eec_flat = ev._eec_flat
         self._arrivals = ev._arrivals
         self._task_types = ev._task_types
         self._tuf_table = ev._tuf_table
-        self.use_cache = bool(use_cache)
+        self.use_cache = cache_size > 0
         self.M = int(ev.num_machines)
         self.T = int(ev.num_tasks)
         self.Mq = int(ev._num_queues)
         self.qg = np.ascontiguousarray(ev._queue_groups, dtype=np.int64)
-        self._queue_slots_log2 = queue_slots_log2
+        self._queue_slots_log2 = min(
+            28, max(8, (2 * cache_size - 1).bit_length()) if cache_size else 8
+        )
         self._queue_table: Optional[QueueStateTable] = None
         # Per-symbol hash tables: symbol = task_index * M + machine
         # (machines sharing a DVFS queue still hash apart — their ETC
@@ -310,11 +506,8 @@ class BatchQueueKernel:
         self._qids: Optional[np.ndarray] = None
         self._u64 = [np.empty(0, dtype=U64) for _ in range(2)]
         self._i64 = [np.empty(0, dtype=np.int64) for _ in range(2)]
-        self._sort_scratch = None
-        # Grow-only flat pool for the padded fold planes — fresh
-        # MB-scale allocations would pay first-touch page faults every
-        # call (see _KernelScratch in the evaluator).
-        self._pad = np.empty(0)
+        self._sort_scratch = SortScratch()
+        self._pool = FoldPool()
         # Reuse statistics (lifetime + last batch).
         self.last_batch: dict = {}
         self.elements_total = 0
@@ -421,8 +614,9 @@ class BatchQueueKernel:
         ).view(U64)
         nonempty = lens > 0
 
-        uq = np.zeros(n_seg, dtype=np.float64)
-        eq = np.zeros(n_seg, dtype=np.float64)
+        # Per-queue (utility, energy) and final finish; empty queues
+        # contribute +0.0 to the row folds, which is exact.
+        ue = np.zeros((2, n_seg))
         fq = np.full(n_seg, -np.inf) if want_finish else None
 
         found = np.zeros(n_seg, dtype=bool)
@@ -440,10 +634,11 @@ class BatchQueueKernel:
                 hs = s_ne[f_ne]
                 hit_ids = f_ne if ne_ids is None else ne_ids[f_ne]
                 found[hit_ids] = True
-                uq[hit_ids] = self.queue_table.values[0][hs]
-                eq[hit_ids] = self.queue_table.values[1][hs]
+                values = self.queue_table.values
+                ue[0, hit_ids] = values[0][hs]
+                ue[1, hit_ids] = values[1][hs]
                 if want_finish:
-                    fq[hit_ids] = self.queue_table.values[2][hs]
+                    fq[hit_ids] = values[2][hs]
         n_hits = int(np.count_nonzero(found))
         miss_seg = nonempty & ~found
         n_miss = int(np.count_nonzero(miss_seg))
@@ -452,9 +647,26 @@ class BatchQueueKernel:
         self.queue_table.misses += n_miss
 
         if n_miss:
-            self._compute_misses(
-                miss_seg, seg, sym, flat_o, lens, k, check, uq, eq, fq
+            # Sort and fold every missed queue, then store the states.
+            idx = np.flatnonzero(miss_seg[seg])
+            sidx = idx[queue_order(seg[idx], flat_o[idx], self._sort_scratch)]
+            stask = sidx % self.T
+            lin = sym[sidx]  # task * M + machine: the flat ETC/EEC index
+            folds = fold_queues(
+                seg[sidx], self._etc_flat[lin], self._arrivals[stask],
+                self._task_types[stask], self._eec_flat[lin],
+                self._tuf_table, pool=self._pool,
             )
+            miss_ids = folds.ids
+            f_new = folds.runmax_end + folds.cs_end
+            ue[:, miss_ids] = folds.ue
+            if want_finish:
+                fq[miss_ids] = f_new
+            if self.use_cache:
+                self.queue_table.insert(
+                    k[miss_ids], check[miss_ids], folds.ue[0], folds.ue[1],
+                    f_new,
+                )
 
         self.elements_total += n
         self.elements_reused += hit_elems
@@ -468,98 +680,9 @@ class BatchQueueKernel:
             "reuse_rate": hit_elems / n if n else 0.0,
         }
 
-        # Per-row totals: left fold over ascending queue id (empty
-        # queues contribute +0.0, which is exact).
-        utilities = np.cumsum(uq.reshape(N, Mq), axis=1)[:, -1]
-        energies = np.cumsum(eq.reshape(N, Mq), axis=1)[:, -1]
+        utilities, energies = row_totals(ue.reshape(2, N, Mq))
         finish = fq.reshape(N, Mq).max(axis=1) if want_finish else None
         return energies, utilities, finish
-
-    # -- miss path ---------------------------------------------------------
-
-    def _compute_misses(
-        self, miss_seg, seg, sym, flat_o, lens, k, check, uq, eq, fq
-    ) -> None:
-        """Sort and fold every missed queue.
-
-        Fills ``uq``/``eq`` (and ``fq``) at missed segments and inserts
-        the new states.
-        """
-        from repro.sim.evaluator import _KernelScratch, _queue_order
-
-        idx = np.flatnonzero(miss_seg[seg])
-        ns = idx.size
-        sseg = seg[idx]
-        if self._sort_scratch is None:
-            self._sort_scratch = _KernelScratch()
-        perm = _queue_order(sseg, flat_o[idx], self._sort_scratch)
-        sidx = idx[perm]
-        sseg = sseg[perm]
-
-        miss_ids = np.flatnonzero(miss_seg)
-        nsm = miss_ids.size
-        lens_m = lens[miss_ids]
-        remap = np.empty(int(miss_ids[-1]) + 1, dtype=np.int64)
-        remap[miss_ids] = np.arange(nsm)
-        segc = remap[sseg]
-        starts = np.zeros(nsm, dtype=np.int64)
-        np.cumsum(lens_m[:-1], out=starts[1:])
-        pos = np.arange(ns, dtype=np.int64) - starts[segc]
-
-        stask = sidx % self.T
-        lin = sym[sidx]  # task * M + machine: the flat ETC/EEC index
-        arr = self._arrivals[stask]
-
-        # One pool backs both stages: the (nsm, Lmax) finish-time planes
-        # are dead before the (2, Lmax, W) utility/energy plane is
-        # written.  W >= 2 keeps the column reduce a left fold.
-        Lmax = int(lens_m.max())
-        W = max(nsm, 2)
-        if 2 * Lmax * W > self._pad.size:
-            self._pad = np.empty(max(2 * Lmax * W, 2 * self._pad.size))
-        pool = self._pad[:2 * Lmax * W]
-
-        # Finish times need every prefix: row-wise cumsum and running
-        # max (ufunc.accumulate reads each input element before writing
-        # its output slot, so both run in place).  Padding (arrival
-        # -inf, exec 0.0) leaves the last column equal to each queue's
-        # final finish.
-        cells = nsm * Lmax
-        A_pad = pool[:cells].reshape(nsm, Lmax)
-        E_pad = pool[cells:2 * cells].reshape(nsm, Lmax)
-        A_pad.fill(-np.inf)
-        E_pad.fill(0.0)
-        flat_ix = segc * np.int64(Lmax) + pos
-        A_pad.reshape(-1)[flat_ix] = arr
-        E_pad.reshape(-1)[flat_ix] = self._etc_flat[lin]
-        cs = np.cumsum(E_pad, axis=1, out=E_pad)
-        # key_j = a_j - cs_{j-1}, with cs_{-1} = 0 (a - 0.0 == a).
-        np.subtract(A_pad[:, 1:], cs[:, :-1], out=A_pad[:, 1:])
-        runmax = np.maximum.accumulate(A_pad, axis=1, out=A_pad)
-        F = np.add(runmax, cs, out=A_pad)
-        elapsed = F.reshape(-1)[flat_ix]
-        elapsed -= arr
-        f_new = F[:, -1].copy()
-
-        u_elem = self._tuf_table.evaluate(self._task_types[stask], elapsed)
-        plane = pool.reshape(2, Lmax, W)
-        plane.fill(0.0)
-        col_ix = pos * np.int64(W) + segc
-        plane[0].reshape(-1)[col_ix] = u_elem
-        plane[1].reshape(-1)[col_ix] = self._eec_flat[lin]
-        totals = _column_left_folds(plane)
-        u_new = totals[0, :nsm]
-        e_new = totals[1, :nsm]
-
-        uq[miss_ids] = u_new
-        eq[miss_ids] = e_new
-        if fq is not None:
-            fq[miss_ids] = f_new
-
-        if self.use_cache:
-            self.queue_table.insert(
-                k[miss_ids], check[miss_ids], u_new, e_new, f_new
-            )
 
 
 def batch_reference_row(

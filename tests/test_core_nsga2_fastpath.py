@@ -41,7 +41,6 @@ def make_engine(
         trace,
         check_feasibility=False,
         cache_size=cache_size,
-        kernel_method="fast",
         fault_hook=fault_hook,
     )
     config = NSGA2Config(

@@ -7,6 +7,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.datasets import build_dataset, dataset1
 from repro.experiments.grid import (
     GridBinding,
+    front_to_payload,
     grid_status,
     render_status,
     resume_grid,
@@ -94,6 +95,61 @@ class TestRepetitionsGrid:
         for a, b in zip(first.fronts, again.fronts):
             assert a.tobytes() == b.tobytes()
         assert grid_status(grid_dir).complete
+
+
+def write_legacy_repetitions_grid(grid_dir, legacy: dict):
+    """A fully done repetitions grid as an older version journaled it:
+    no ``spec_version``, plus the *legacy* keys.  Each stored front is
+    doctored, so reusing any cell would show."""
+    bundle = dataset1()
+    spec = {
+        "driver": "repetitions",
+        "dataset": {"name": bundle.name, "seed": bundle.seed},
+        "repetitions": REPS["repetitions"],
+        "generations": REPS["generations"],
+        "population_size": REPS["population_size"],
+        "mutation_probability": 0.25,
+        "seed_label": "random",
+        "base_seed": 2013,
+        "algorithm": "nsga2",
+        **legacy,
+    }
+    keys = list(range(REPS["repetitions"]))
+    binding = GridBinding.open_or_create(
+        grid_dir, spec=spec, dataset=bundle, keys=keys,
+    )
+    for r in keys:
+        binding.record_done(r, front_to_payload([[1.0 + r, 2.0]]))
+    assert grid_status(grid_dir).complete
+
+
+class TestSpecVersionRotation:
+    @pytest.mark.parametrize(
+        "legacy", [{"kernel_method": "fast"}, {}],
+        ids=["spec-with-kernel-method", "pre-kernel-method-spec"],
+    )
+    @pytest.mark.parametrize("redrive", ["call", "resume"])
+    def test_older_grid_is_invalidated_not_reused(self, tmp_path, legacy,
+                                                  redrive):
+        """A grid journaled under a spec that named a kernel, or under
+        one older still (no kernel key, read as the retired ``fast``
+        kernel), never feeds its cells to the current evaluator: the
+        re-drive rotates the manifest and recomputes every cell."""
+        grid_dir = tmp_path / "grid"
+        write_legacy_repetitions_grid(grid_dir, legacy)
+        if redrive == "call":
+            result = run_repetitions(
+                dataset1(), **REPS, grid_dir=str(grid_dir),
+                fault_hook=_count_cell,
+            )
+            assert sorted(r for r, _ in _DRIVEN) == [0, 1, 2]
+        else:
+            result = resume_grid(grid_dir)
+        assert list(tmp_path.glob("grid/manifest.stale-*.jsonl"))
+        assert GridManifest.load(grid_dir).spec["spec_version"] == 2
+        clean = run_repetitions(dataset1(), **REPS)
+        for a, b in zip(result.fronts, clean.fronts):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestResumeGrid:

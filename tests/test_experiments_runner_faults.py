@@ -21,12 +21,8 @@ from repro.testing.faults import FaultPlan
 from repro.utility.presets import assign_presets
 from repro.workload.generator import WorkloadGenerator
 
-# Pinned to the per-row kernel: the sub-second per-attempt timeouts
-# below are calibrated against its startup cost at this tiny scale
-# (the batch kernel's table setup would eat most of the budget).
 CFG = ExperimentConfig(
     population_size=10, generations=4, checkpoints=(2, 4), base_seed=5,
-    kernel_method="fast",
 )
 
 #: No-delay policy so retry tests run in milliseconds.

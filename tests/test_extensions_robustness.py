@@ -1,5 +1,7 @@
 """Tests for the robustness-under-uncertainty extension."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.extensions.robustness import (
     front_robustness,
 )
 from repro.heuristics import MinMinCompletionTime
+from repro.sim.batchkernel import batch_reference_row
 
 from conftest import random_allocation
 
@@ -29,6 +32,46 @@ class TestNoiseModel:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ScheduleError):
             NoiseModel(sigma=-0.1)
+
+
+def perturbed_bindings(analyzer, factors):
+    """Oracle bindings whose ETC/EEC rows carry one sample's runtime
+    factors (energy = scaled time × unchanged power)."""
+    exec_rows = analyzer._etc_rows * factors[:, None]
+    return SimpleNamespace(
+        _etc_flat=exec_rows.reshape(-1),
+        _eec_flat=(exec_rows * analyzer._epc_rows).reshape(-1),
+        _arrivals=analyzer._arrivals, _task_types=analyzer._task_types,
+        _tuf_table=analyzer._tuf,
+        _queue_groups=np.arange(analyzer.system.num_machines),
+        _num_queues=analyzer.system.num_machines,
+        num_machines=analyzer.system.num_machines,
+        num_tasks=analyzer.trace.num_tasks,
+    )
+
+
+class TestAgainstOracle:
+    def test_perturbed_finish_times_match_oracle(self, small_system,
+                                                 small_trace):
+        """Every noise sample's finish times and totals equal the
+        scalar oracle run on that sample's perturbed execution times,
+        byte for byte."""
+        analyzer = RobustnessAnalyzer(small_system, small_trace, seed=9)
+        alloc = random_allocation(small_system, small_trace, seed=10)
+        factors = NoiseModel(sigma=0.3).sample(
+            (6, small_trace.num_tasks), np.random.default_rng(11)
+        )
+        energies, utilities, finish = analyzer._simulate(
+            alloc.machine_assignment, alloc.scheduling_order, factors
+        )
+        for r in range(6):
+            energy, utility, oracle_finish = batch_reference_row(
+                perturbed_bindings(analyzer, factors[r]),
+                alloc.machine_assignment, alloc.scheduling_order,
+            )
+            assert finish[r].tobytes() == oracle_finish.tobytes()
+            assert energies[r] == energy
+            assert utilities[r] == utility
 
 
 class TestAnalyzer:

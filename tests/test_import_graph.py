@@ -6,7 +6,9 @@ Two kinds of checks:
   ``dir()`` and star-import, so a stale name → module map fails here
   rather than in a user's import;
 * in a fresh interpreter, a workload's set-up and a CLI verb import
-  only the layers they run, and a timed call imports nothing at all.
+  only the layers they run, and a timed call imports nothing at all
+  (no module of any package: a service window that first touches a
+  lazily imported NumPy submodule pays its import inside the window).
 """
 
 import importlib
@@ -109,6 +111,33 @@ def test_figure_setup_skips_other_layers_and_run_imports_nothing():
     forbidden = ("repro.parallel", "repro.service", "repro.obs.collect",
                  "repro.exact", "repro.experiments.grid")
     assert not [m for m in result["setup"] if m.startswith(forbidden)]
+    assert result["new"] == []
+
+
+def test_service_windows_import_nothing():
+    """Ten windows on a fresh service — seed repair every busy window
+    after the first, and a ledger compaction at window 8 — load no
+    module of any package after set-up."""
+    result = run_fresh(
+        "import json, sys\n"
+        "from repro.experiments.datasets import dataset1\n"
+        "from repro.service.dispatch import DispatchService, ServiceConfig\n"
+        "from repro.service.stream import ArrivalStream\n"
+        "from repro.workload.generator import TaskTypeMix\n"
+        "system = dataset1(2013).system\n"
+        "stream = ArrivalStream(mix=TaskTypeMix.uniform("
+        "system.num_task_types), window=60.0, rate=0.05, seed=2013)\n"
+        "windows = list(stream.windows(10))\n"
+        "service = DispatchService(system, ServiceConfig("
+        "seed=2013, population_size=8, generations=2))\n"
+        "setup = set(sys.modules)\n"
+        "reports = [service.process_window(b) for b in windows]\n"
+        "print(json.dumps({'new': sorted(set(sys.modules) - setup),"
+        " 'busy': sum(1 for r in reports if r.tasks),"
+        " 'compacted': sum(r.compacted for r in reports)}))\n"
+    )
+    assert result["busy"] >= 2
+    assert result["compacted"] > 0
     assert result["new"] == []
 
 

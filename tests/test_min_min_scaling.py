@@ -12,7 +12,7 @@ it trips a wall-clock benchmark.
 import numpy as np
 import pytest
 
-from repro.experiments.datasets import dataset1, dataset3
+from repro.experiments.datasets import dataset1, dataset2, dataset3
 from repro.heuristics.min_min import MinMinCompletionTime
 
 
@@ -68,3 +68,56 @@ class TestCacheWorkCeiling:
 
         np.testing.assert_array_equal(alloc.machine_assignment, assignment)
         np.testing.assert_array_equal(alloc.scheduling_order, order)
+
+
+def masked_min_min(arrivals, etc):
+    """The Min-Min loop before mapped tasks were marked in the cache:
+    an ``unmapped`` mask hides them from stage 2 and invalidation.
+    Returns ``(assignment, order, recomputed_rows, invalidation_rounds)``."""
+    T, M = etc.shape
+    available = np.zeros(M, dtype=np.float64)
+    assignment = np.empty(T, dtype=np.int64)
+    order = np.empty(T, dtype=np.int64)
+    unmapped = np.ones(T, dtype=bool)
+    completion = np.maximum(available[None, :], arrivals[:, None]) + etc
+    best_m = np.argmin(completion, axis=1)
+    best_c = completion[np.arange(T), best_m]
+    recomputed_rows = invalidation_rounds = 0
+    for k in range(T):
+        masked = np.where(unmapped, best_c, np.inf)
+        t = int(np.argmin(masked))
+        m = int(best_m[t])
+        assignment[t] = m
+        order[t] = k
+        unmapped[t] = False
+        available[m] = best_c[t]
+        stale = unmapped & (best_m == m)
+        if np.any(stale):
+            rows = np.flatnonzero(stale)
+            recomputed_rows += rows.size
+            invalidation_rounds += 1
+            comp = np.maximum(available[None, :], arrivals[rows, None]) + etc[rows]
+            best_m[rows] = np.argmin(comp, axis=1)
+            best_c[rows] = comp[np.arange(rows.size), best_m[rows]]
+    return assignment, order, recomputed_rows, invalidation_rounds
+
+
+@pytest.mark.parametrize(
+    "builder, seed",
+    [(b, s) for b in (dataset1, dataset2, dataset3) for s in (1, 7, 99, 404)]
+    + [(dataset1, 2013), (dataset3, 2013)],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_marked_cache_matches_masked_loop(builder, seed):
+    """Marking mapped tasks in the stage-1 cache (``best_c = inf``,
+    ``best_m = -1``) maps, orders and invalidates exactly as the
+    masked loop did."""
+    bundle = builder(seed)
+    heuristic = MinMinCompletionTime()
+    alloc = heuristic.build(bundle.system, bundle.trace)
+    _, arrivals, etc, _ = heuristic._prepare(bundle.system, bundle.trace)
+    assignment, order, rows, rounds = masked_min_min(arrivals, etc)
+    np.testing.assert_array_equal(alloc.machine_assignment, assignment)
+    np.testing.assert_array_equal(alloc.scheduling_order, order)
+    assert heuristic.last_stats["recomputed_rows"] == rows
+    assert heuristic.last_stats["invalidation_rounds"] == rounds

@@ -48,7 +48,7 @@ def commit_window(evaluator: WindowEvaluator, ledger, batch, seed=11):
 
 
 def horizon_evaluator(system, ledger, batch) -> ScheduleEvaluator:
-    """A plain batch-mode evaluator over committed + free tasks."""
+    """A plain evaluator over committed + free tasks."""
     horizon = Trace(
         task_types=np.concatenate([ledger.task_types, batch.task_types]),
         arrival_times=np.concatenate(
@@ -57,7 +57,7 @@ def horizon_evaluator(system, ledger, batch) -> ScheduleEvaluator:
         window=batch.end,
     )
     return ScheduleEvaluator(
-        system, horizon, check_feasibility=False, kernel_method="batch",
+        system, horizon, check_feasibility=False,
     )
 
 

@@ -60,7 +60,7 @@ def free_genes(system, batch, n, rng, distinct_keys=True, machines=None):
 
 
 def horizon_reference(system, ledger, batch):
-    """Batch-mode evaluator over committed + free tasks."""
+    """A plain evaluator over committed + free tasks."""
     trace = Trace(
         task_types=np.concatenate([ledger.task_types, batch.task_types]),
         arrival_times=np.concatenate(
@@ -69,7 +69,7 @@ def horizon_reference(system, ledger, batch):
         window=batch.end,
     )
     return ScheduleEvaluator(
-        system, trace, check_feasibility=False, kernel_method="batch",
+        system, trace, check_feasibility=False,
     )
 
 

@@ -1,15 +1,13 @@
 """Population-at-once batch kernel: exactness, reuse transparency.
 
-The batch kernel (``kernel_method="batch"``) evaluates a whole
-population with one composite sort and segmented scans, reusing
-per-machine queue states across generations.  Its contract has two
-halves, and every test here pins one of them:
+The batch kernel evaluates a whole population with one composite sort
+and the shared queue fold, reusing per-machine queue states across
+generations.  Its contract has two halves, and every test here pins
+one of them:
 
 * **Exactness** — results are bit-identical to the scalar oracle
   :func:`~repro.sim.batchkernel.batch_reference_row`, which computes
-  every queue with plain Python left folds.  (The batch kernel uses a
-  different summation association than the ``fast`` kernel, so it is
-  pinned to its *own* oracle, not to ``fast``.)
+  every queue with plain Python left folds.
 * **Reuse transparency** — caching only skips work, never changes
   results: cache on/off/cleared, any batch composition, serial or
   parallel, all bit-identical.
@@ -19,16 +17,18 @@ priorities, degenerate and large populations, huge order keys) target
 the kernel's padding, segment bookkeeping, and hash fallbacks.
 """
 
+import math
 import weakref
 
 import numpy as np
 import pytest
 
+from conftest import OracleEvaluator
+
 from repro.core.algorithm import AlgorithmConfig
 from repro.core.operators import FeasibleMachines
 from repro.core.registry import available_algorithms, make_algorithm
-from repro.errors import ScheduleError
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import SPEC_VERSION, ExperimentConfig
 from repro.experiments.datasets import DatasetBundle
 from repro.experiments.repetitions import run_repetitions
 from repro.experiments.runner import RetryPolicy, run_seeded_populations
@@ -40,6 +40,7 @@ from repro.sim.schedule import ResourceAllocation
 from repro.testing.faults import FaultPlan
 from repro.utility.presets import assign_presets
 from repro.workload.generator import WorkloadGenerator
+from repro.workload.trace import Trace
 
 
 def make_batch(system, trace, n_rows, seed):
@@ -54,7 +55,6 @@ def make_batch(system, trace, n_rows, seed):
 
 
 def batch_ev(system, trace, **kwargs):
-    kwargs.setdefault("kernel_method", "batch")
     kwargs.setdefault("check_feasibility", False)
     return ScheduleEvaluator(system, trace, **kwargs)
 
@@ -183,6 +183,79 @@ class TestOracleBitIdentity:
         assert_matches_oracle(ev, assignments, orders)
 
 
+# -- evaluate() on the shared fold ------------------------------------------
+
+
+def assert_evaluate_matches_oracle(ev, assignment, order):
+    """``evaluate()`` equals the scalar oracle as bytes: totals,
+    per-task finish times, and the utilities those finish times earn."""
+    result = ev.evaluate(ResourceAllocation(
+        machine_assignment=assignment, scheduling_order=order,
+    ))
+    energy, utility, finish = batch_reference_row(ev, assignment, order)
+    assert np.float64(result.energy).tobytes() == np.float64(energy).tobytes()
+    assert np.float64(result.utility).tobytes() == \
+        np.float64(utility).tobytes()
+    assert result.completion_times.tobytes() == finish.tobytes()
+    earned = ev.tuf_table.evaluate(ev._task_types, finish - ev._arrivals)
+    assert result.task_utilities.tobytes() == earned.tobytes()
+
+
+class TestEvaluateMatchesOracle:
+    def test_random_allocations(self, small_system, small_trace):
+        ev = batch_ev(small_system, small_trace)
+        assignments, orders = make_batch(small_system, small_trace, 20, 50)
+        for a, o in zip(assignments, orders):
+            assert_evaluate_matches_oracle(ev, a, o)
+
+    def test_dvfs_queue_groups(self, small_system, small_trace):
+        """Several virtual machines share one physical queue."""
+        from repro.extensions.dvfs import make_dvfs_evaluator
+
+        ev = make_dvfs_evaluator(small_system, small_trace)
+        assert ev._num_queues < ev.num_machines
+        assignments, orders = make_batch(ev.system, small_trace, 12, 51)
+        for a, o in zip(assignments, orders):
+            assert_evaluate_matches_oracle(ev, a, o)
+
+    def test_duplicate_order_keys(self, small_system, small_trace):
+        ev = batch_ev(small_system, small_trace)
+        T = small_trace.num_tasks
+        rng = np.random.default_rng(52)
+        assignments, _ = make_batch(small_system, small_trace, 3, 52)
+        for a, o in zip(assignments, [np.zeros(T, dtype=np.int64),
+                                      rng.integers(0, 3, size=T),
+                                      np.repeat(np.arange(T), 2)[:T]]):
+            assert_evaluate_matches_oracle(ev, a, o)
+
+    def test_single_task_and_empty_machines(self, small_system, small_trace):
+        """One task alone on machine 0, every other task on machine 1,
+        the remaining machines empty."""
+        ev = batch_ev(small_system, small_trace)
+        T = small_trace.num_tasks
+        lonely = np.full(T, 1, dtype=np.int64)
+        lonely[T // 2] = 0
+        rng = np.random.default_rng(53)
+        for _ in range(3):
+            assert_evaluate_matches_oracle(ev, lonely, rng.permutation(T))
+
+    def test_arrivals_near_2_40(self, small_system, small_trace):
+        """Arrivals of magnitude 2⁴⁰ with full mantissas: the fold must
+        keep every low bit the oracle keeps."""
+        rng = np.random.default_rng(54)
+        T = small_trace.num_tasks
+        trace = Trace(
+            task_types=small_trace.task_types,
+            arrival_times=np.sort(2.0**40 + rng.uniform(0.0, 900.0, size=T)),
+            window=2.0**41,
+        )
+        ev = batch_ev(small_system, trace)
+        assignments, orders = make_batch(small_system, trace, 8, 54)
+        for a, o in zip(assignments, orders):
+            assert_evaluate_matches_oracle(ev, a, o)
+        assert_matches_oracle(ev, assignments, orders)
+
+
 # -- reuse transparency -------------------------------------------------------
 
 
@@ -245,8 +318,8 @@ class TestEvaluatorIntegration:
         self, small_system, small_trace
     ):
         fast = batch_ev(small_system, small_trace)
-        ref = batch_ev(small_system, small_trace,
-                       kernel_method="batch-reference")
+        ref = OracleEvaluator(small_system, small_trace,
+                              check_feasibility=False)
         assignments, orders = make_batch(small_system, small_trace, 15, 12)
         e0, u0 = fast.evaluate_batch(assignments, orders)
         e1, u1 = ref.evaluate_batch(assignments, orders)
@@ -270,21 +343,11 @@ class TestEvaluatorIntegration:
     def test_invalid_kernel_method_rejected(
         self, small_system, small_trace
     ):
-        with pytest.raises(ScheduleError, match="kernel_method"):
+        """The kernel switch is gone: naming a kernel fails loudly
+        instead of silently evaluating with the one kernel."""
+        with pytest.raises(TypeError, match="kernel_method"):
             ScheduleEvaluator(small_system, small_trace,
-                              kernel_method="vectorized")
-
-    def test_chromosome_cache_bypassed_in_batch_mode(
-        self, small_system, small_trace
-    ):
-        ev = batch_ev(small_system, small_trace)
-        assert ev.cache is None  # queue-state tables replace it
-        assert ev._batch_kernel is not None
-        fast = ScheduleEvaluator(small_system, small_trace,
-                                 check_feasibility=False,
-                                 kernel_method="fast")
-        assert fast.cache is not None
-        assert fast._batch_kernel is None
+                              kernel_method="fast")
 
 
 # -- all algorithms share the batch path --------------------------------------
@@ -296,11 +359,11 @@ class TestAlgorithmsOnBatchKernel:
         self, name, small_system, small_trace
     ):
         """Each registered algorithm run on the batch kernel produces
-        the same front, bit for bit, as on the scalar-oracle kernel —
+        the same front, bit for bit, as on the scalar oracle —
         evaluation goes through ``evaluate_batch`` everywhere."""
         fronts = []
-        for method in ("batch", "batch-reference"):
-            ev = batch_ev(small_system, small_trace, kernel_method=method)
+        for cls in (ScheduleEvaluator, OracleEvaluator):
+            ev = cls(small_system, small_trace, check_feasibility=False)
             ga = make_algorithm(
                 name, ev,
                 AlgorithmConfig(population_size=12,
@@ -320,11 +383,10 @@ class TestParallelAndResume:
     def test_parallel_matches_serial(self, bundle, transport):
         serial = run_repetitions(
             bundle, repetitions=3, generations=4, population_size=10,
-            kernel_method="batch",
         )
         parallel = run_repetitions(
             bundle, repetitions=3, generations=4, population_size=10,
-            workers=2, transport=transport, kernel_method="batch",
+            workers=2, transport=transport,
         )
         for s, p in zip(serial.fronts, parallel.fronts):
             np.testing.assert_array_equal(s, p)
@@ -333,7 +395,7 @@ class TestParallelAndResume:
     def test_checkpoint_resume_bit_identical(self, bundle, tmp_path):
         cfg = ExperimentConfig(
             population_size=10, generations=4, checkpoints=(2, 4),
-            base_seed=5, kernel_method="batch",
+            base_seed=5,
         )
         clean = run_seeded_populations(bundle, cfg, labels=["random"])
         plan = FaultPlan().crash("evaluate", at_call=4)
@@ -354,43 +416,61 @@ class TestParallelAndResume:
 # -- makespan evaluator -------------------------------------------------------
 
 
+def direct_makespan(ev, assignment, order):
+    """Makespan by the paper's recurrence ``f_j = max(f_{j-1}, a_j) +
+    e_j``, one task at a time — a formulation independent of the
+    kernel's prefix-sum closed form, so it agrees only to float
+    association."""
+    finish = {}
+    for t in np.lexsort((np.arange(ev.num_tasks), order, assignment)):
+        m = int(assignment[t])
+        e = float(ev._etc_flat[t * ev.num_machines + m])
+        finish[m] = max(finish.get(m, -math.inf), float(ev._arrivals[t])) + e
+    return max(finish.values())
+
+
 class TestMakespanBatchKernel:
     @pytest.mark.parametrize("bag_of_tasks", [True, False])
     def test_batch_matches_fast(self, small_system, small_trace,
                                 bag_of_tasks):
-        """The two kernels agree to float association: the batch
-        kernel's finish recurrence and per-queue energy folds associate
-        differently than the fast kernel's segmented scans, so low-bit
-        drift is expected — exactness is pinned against the scalar
-        oracle below, not against ``fast``."""
-        fast = MakespanEnergyEvaluator(small_system, small_trace,
-                                       bag_of_tasks=bag_of_tasks)
+        """The kernel's makespans agree with the direct recurrence to
+        float association, and its energies with a plain EEC sum."""
         batch = MakespanEnergyEvaluator(small_system, small_trace,
-                                        bag_of_tasks=bag_of_tasks,
-                                        kernel_method="batch")
+                                        bag_of_tasks=bag_of_tasks)
         for seed in (20, 21):
             assignments, orders = make_batch(
                 small_system, small_trace, 25, seed
             )
-            e0, m0 = fast.evaluate_batch(assignments, orders)
-            e1, m1 = batch.evaluate_batch(assignments, orders)
-            np.testing.assert_allclose(m0, m1, rtol=1e-12)
-            np.testing.assert_allclose(e0, e1, rtol=1e-12)
+            energies, neg_makespans = batch.evaluate_batch(assignments, orders)
+            for i in range(25):
+                np.testing.assert_allclose(
+                    -neg_makespans[i],
+                    direct_makespan(batch, assignments[i], orders[i]),
+                    rtol=1e-12,
+                )
+            eec = batch._eec_rows[np.arange(small_trace.num_tasks),
+                                  assignments]
+            np.testing.assert_allclose(energies, eec.sum(axis=1),
+                                       rtol=1e-12)
 
     def test_batch_matches_oracle_makespan(self, small_system, small_trace):
-        batch = MakespanEnergyEvaluator(small_system, small_trace,
-                                        kernel_method="batch")
+        """Makespans are the per-row maximum of the oracle's finish
+        times (``max`` is rounding-free), cold and from cached queue
+        states."""
+        batch = MakespanEnergyEvaluator(small_system, small_trace)
         assignments, orders = make_batch(small_system, small_trace, 6, 22)
-        energies, neg_makespans = batch.evaluate_batch(assignments, orders)
-        for i in range(6):
-            energy, _, finish = batch_reference_row(
-                batch, assignments[i], orders[i]
-            )
-            assert energies[i] == energy
-            assert -neg_makespans[i] == finish.max()
+        for _ in range(2):
+            energies, neg_makespans = batch.evaluate_batch(assignments, orders)
+            for i in range(6):
+                energy, _, finish = batch_reference_row(
+                    batch, assignments[i], orders[i]
+                )
+                assert energies[i] == energy
+                assert -neg_makespans[i] == finish.max()
 
     def test_invalid_kernel_rejected(self, small_system, small_trace):
-        with pytest.raises(ScheduleError, match="kernel_method"):
+        """The kernel switch is gone from the makespan evaluator too."""
+        with pytest.raises(TypeError, match="kernel_method"):
             MakespanEnergyEvaluator(small_system, small_trace,
                                     kernel_method="reference")
 
@@ -408,7 +488,7 @@ class TestFreedOnRefcount:
                                      MakespanEnergyEvaluator])
     def test_dropped_evaluator_is_freed(self, cls, small_system,
                                         small_trace, gc_disabled):
-        ev = cls(small_system, small_trace, kernel_method="batch")
+        ev = cls(small_system, small_trace)
         ev.evaluate_batch(*make_batch(small_system, small_trace, 8, 40))
         kernel = ev._batch_kernel
         assert all(value is not ev for value in vars(kernel).values())
@@ -425,19 +505,30 @@ class TestFreedOnRefcount:
 class TestConfigPlumbing:
     def test_spec_roundtrip(self):
         cfg = ExperimentConfig(population_size=10, generations=4,
-                               checkpoints=(4,), kernel_method="batch")
+                               checkpoints=(4,))
         spec = cfg.to_spec()
-        assert spec["kernel_method"] == "batch"
-        assert ExperimentConfig.from_spec(spec).kernel_method == "batch"
+        assert spec["spec_version"] == SPEC_VERSION
+        assert "kernel_method" not in spec
+        assert ExperimentConfig.from_spec(spec) == cfg
+        assert ExperimentConfig.from_spec(spec).to_spec() == spec
 
-    def test_legacy_spec_defaults_to_fast(self):
+    @pytest.mark.parametrize("legacy", [{"kernel_method": "batch"}, {}],
+                             ids=["named-kernel", "pre-kernel-switch"])
+    def test_legacy_spec_is_not_current(self, legacy):
+        """Older specs — one naming a kernel, and one from before the
+        switch (read as the retired ``fast`` kernel) — rebuild a config
+        whose spec differs from theirs, so their grids rotate."""
         cfg = ExperimentConfig(population_size=10, generations=4,
                                checkpoints=(4,))
         spec = cfg.to_spec()
-        del spec["kernel_method"]
-        assert ExperimentConfig.from_spec(spec).kernel_method == "fast"
+        del spec["spec_version"]
+        spec.update(legacy)
+        rebuilt = ExperimentConfig.from_spec(spec)
+        assert rebuilt == cfg
+        assert rebuilt.to_spec() != spec
 
     def test_invalid_kernel_method_rejected(self):
-        with pytest.raises(Exception, match="kernel_method"):
+        """The knob is gone from the config: naming it is an error."""
+        with pytest.raises(TypeError, match="kernel_method"):
             ExperimentConfig(population_size=10, generations=4,
                              checkpoints=(4,), kernel_method="turbo")

@@ -23,11 +23,13 @@ import pytest
 
 from repro.sim.batchkernel import (
     BatchQueueKernel,
+    SortScratch,
     _column_left_folds,
     _segment_key_sums,
     batch_reference_row,
+    queue_order,
 )
-from repro.sim.evaluator import ScheduleEvaluator, _KernelScratch, _queue_order
+from repro.sim.evaluator import ScheduleEvaluator
 from repro.utility.intervals import DecayShape
 from repro.utility.presets import default_catalog
 from repro.utility.tuf import SEGMENT_KIND, TimeUtilityFunction
@@ -111,22 +113,22 @@ class TestQueueOrder:
         group, key = queue_order_cases()[case]
         group = group.astype(np.int64)
         key = key.astype(np.int64)
-        scratch = _KernelScratch() if with_scratch else None
-        got = _queue_order(group, key, scratch)
+        scratch = SortScratch() if with_scratch else None
+        got = queue_order(group, key, scratch)
         np.testing.assert_array_equal(got, np.lexsort((key, group)))
 
     def test_result_survives_scratch_reuse(self):
         """The permutation must not alias the scratch pool that the
         next call (or the caller's own gathers) overwrite."""
         group, key = queue_order_cases()["composite"]
-        scratch = _KernelScratch()
-        first = _queue_order(group, key, scratch)
+        scratch = SortScratch()
+        first = queue_order(group, key, scratch)
         expected = first.copy()
-        _queue_order(group[::-1].copy(), key, scratch)
+        queue_order(group[::-1].copy(), key, scratch)
         np.testing.assert_array_equal(first, expected)
 
     def test_single_element(self):
-        got = _queue_order(np.array([5]), np.array([-3]), _KernelScratch())
+        got = queue_order(np.array([5]), np.array([-3]), SortScratch())
         assert got.tolist() == [0]
 
 

@@ -1,30 +1,31 @@
-"""Evaluation cache, batch-composition independence, and kernel exactness.
+"""Queue-state cache, batch-composition independence, and fold exactness.
 
 The cache contract is that caching is invisible: any sequence of
 ``evaluate_batch`` calls returns bit-identical objectives with the
-cache on, off, or pre-warmed, in any batch composition.  That only
-holds because the segmented kernel is *exact* — each row's finish
-times depend on that row alone (row-local cumulative sums) and the
-segmented running maximum is the true maximum, never an
-offset-approximation.  These tests pin down both halves, including a
-pure-Python bitwise mirror of the kernel at extreme magnitudes where
-the retired offset trick loses bits.
+queue-state cache on, off, or pre-warmed, in any batch composition.
+That only holds because the queue fold is *exact* — each queue's
+numbers depend on that queue's ordered content alone, and the running
+maximum is the true maximum, never an offset approximation.  These
+tests pin down both halves, including a pure-Python mirror of the fold
+at extreme magnitudes where an offset trick would lose bits.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core.operators import FeasibleMachines
 from repro.errors import ScheduleError
-from repro.sim.evaluator import (
-    EvaluationCache,
-    ScheduleEvaluator,
-    _segmented_finish_times,
-    _segmented_finish_times_reference,
-    _KernelScratch,
+from repro.sim.batchkernel import (
+    FoldPool,
+    QueueStateTable,
+    SortScratch,
+    fold_queues,
+    queue_order,
 )
+from repro.sim.evaluator import ScheduleEvaluator
 from repro.sim.schedule import ResourceAllocation
 
 
@@ -41,10 +42,6 @@ def make_batch(system, trace, n_rows, seed):
 
 def make_evaluator(system, trace, **kwargs):
     kwargs.setdefault("check_feasibility", False)
-    # This suite exercises the *chromosome* cache, which only exists on
-    # the per-row kernels (batch mode replaces it with the kernel's
-    # queue-state tables — see tests/test_sim_batchkernel.py).
-    kwargs.setdefault("kernel_method", "fast")
     return ScheduleEvaluator(system, trace, **kwargs)
 
 
@@ -60,11 +57,13 @@ class TestCacheTransparency:
         e1, u1 = warm.evaluate_batch(assignments, orders)
         np.testing.assert_array_equal(e0, e1)
         np.testing.assert_array_equal(u0, u1)
-        # Second pass: all hits, still bit-identical.
+        first_misses = warm.cache_stats["misses"]
+        # Second pass: every queue hits, still bit-identical.
         e2, u2 = warm.evaluate_batch(assignments, orders)
         np.testing.assert_array_equal(e0, e2)
         np.testing.assert_array_equal(u0, u2)
-        assert warm.cache_stats["hits"] == 40
+        assert warm.cache_stats["hits"] == first_misses
+        assert warm.cache_stats["misses"] == first_misses
 
     def test_repeated_rows_within_a_batch(self, small_system, small_trace):
         assignments, orders = make_batch(small_system, small_trace, 6, 1)
@@ -77,22 +76,24 @@ class TestCacheTransparency:
         np.testing.assert_array_equal(u0, u1)
 
     def test_partial_hit_batch(self, small_system, small_trace):
-        """A batch mixing cached and new rows must equal a cold pass."""
+        """A batch mixing cached and new queues must equal a cold pass."""
         assignments, orders = make_batch(small_system, small_trace, 30, 2)
         warm = make_evaluator(small_system, small_trace)
         warm.evaluate_batch(assignments[:17], orders[:17])  # pre-warm a prefix
+        prefix_queues = warm.cache_stats["misses"]
         cold = make_evaluator(small_system, small_trace, cache_size=0)
         e0, u0 = cold.evaluate_batch(assignments, orders)
         e1, u1 = warm.evaluate_batch(assignments, orders)
         np.testing.assert_array_equal(e0, e1)
         np.testing.assert_array_equal(u0, u1)
         stats = warm.cache_stats
-        assert stats["hits"] == 17 and stats["misses"] == 30
+        assert stats["hits"] >= prefix_queues
+        assert stats["misses"] > prefix_queues  # the 13 new rows folded
 
     def test_batch_composition_independence(self, small_system, small_trace):
         """Row-by-row evaluation equals one full batch, bit for bit —
         the property that makes cache hits indistinguishable from
-        fresh kernel runs under any interleaving."""
+        fresh folds under any interleaving."""
         assignments, orders = make_batch(small_system, small_trace, 25, 3)
         ev = make_evaluator(small_system, small_trace, cache_size=0)
         e_full, u_full = ev.evaluate_batch(assignments, orders)
@@ -118,9 +119,10 @@ class TestCacheTransparency:
             assert result.utility == u_b[i]
 
     def test_large_order_keys_use_int64_digest(self, small_system, small_trace):
-        """Order keys beyond int32 take the fallback digest path; results
-        stay identical to the uncached kernel (ordering is unchanged
-        by the constant shift)."""
+        """Order keys past the kernel's per-key hash table take the
+        arithmetic-mix fingerprint; results stay identical to the
+        uncached kernel (ordering is unchanged by the constant shift)
+        and to the small-key run."""
         assignments, orders = make_batch(small_system, small_trace, 10, 5)
         big_orders = orders + 2**40
         cold = make_evaluator(small_system, small_trace, cache_size=0)
@@ -132,9 +134,12 @@ class TestCacheTransparency:
         e2, u2 = warm.evaluate_batch(assignments, big_orders)
         np.testing.assert_array_equal(e0, e2)
         np.testing.assert_array_equal(u0, u2)
+        e3, u3 = cold.evaluate_batch(assignments, orders)
+        np.testing.assert_array_equal(e0, e3)
+        np.testing.assert_array_equal(u0, u3)
 
     def test_workspace_growth_across_batch_sizes(self, small_system, small_trace):
-        """Grow-only scratch/workspace buffers serve shrinking and
+        """Grow-only kernel scratch and fold pool serve shrinking and
         growing batches without contaminating results."""
         assignments, orders = make_batch(small_system, small_trace, 32, 6)
         ev = make_evaluator(small_system, small_trace, cache_size=0)
@@ -149,124 +154,135 @@ class TestCacheTransparency:
 # -- cache mechanics ----------------------------------------------------------
 
 
+def table_keys(n):
+    keys = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return keys, np.arange(n, dtype=np.uint64)
+
+
 class TestCacheMechanics:
     def test_clear_on_full(self):
-        cache = EvaluationCache(max_entries=3)
-        rows = [np.array([i], dtype=np.int64) for i in range(5)]
-        keys = [EvaluationCache.key(r, r) for r in rows]
-        for i, k in enumerate(keys[:3]):
-            cache.put(k, float(i), float(i))
-        assert len(cache) == 3
-        cache.put(keys[3], 3.0, 3.0)  # at capacity: clears, then stores
-        assert len(cache) == 1
-        assert cache.get(keys[3]) == (3.0, 3.0)
-        assert cache.get(keys[0]) is None
+        table = QueueStateTable(n_slots_log2=4)  # holds up to 8 entries
+        keys, checks = table_keys(9)
+        values = [np.arange(9, dtype=np.float64)] * 3
+        table.insert(keys[:8], checks[:8], *(v[:8] for v in values))
+        assert table.entries == 8
+        found, _ = table.lookup(keys[:8], checks[:8])
+        assert found.all()
+        # Past half load: clears, then stores.
+        table.insert(keys[8:], checks[8:], *(v[8:] for v in values))
+        assert table.entries == 1
+        assert table.evictions == 1
+        found, slots = table.lookup(keys, checks)
+        assert found.tolist() == [False] * 8 + [True]
+        assert table.values[0][slots[8]] == 8.0
 
     def test_stats_and_clear(self, small_system, small_trace):
         assignments, orders = make_batch(small_system, small_trace, 5, 7)
         ev = make_evaluator(small_system, small_trace)
+        T = small_trace.num_tasks
         ev.evaluate_batch(assignments, orders)
+        queues = ev.cache_stats["misses"]
         ev.evaluate_batch(assignments, orders)
         stats = ev.cache_stats
         assert stats == {
-            "hits": 5,
-            "misses": 5,
+            "hits": queues,
+            "misses": queues,
+            "entries": queues,
             "evictions": 0,
-            "entries": 5,
             "hit_rate": 0.5,
-            "lifetime_hits": 5,
-            "lifetime_misses": 5,
+            "elements_total": 10 * T,
+            "elements_reused": 5 * T,
+            "reuse_rate": 0.5,
         }
         ev.clear_cache()
         assert ev.cache_stats["entries"] == 0
-        # Window counters restart with the empty store (no stale
-        # hit_rate across clears); lifetime totals stay monotonic.
-        assert ev.cache_stats["hits"] == 0
-        assert ev.cache_stats["misses"] == 0
+        # Counters are lifetime totals: a clear only empties the table.
         ev.evaluate_batch(assignments, orders)
         stats = ev.cache_stats
-        assert stats["misses"] == 5
-        assert stats["hit_rate"] == 0.0
-        assert stats["lifetime_misses"] == 10
-        assert stats["lifetime_hits"] == 5
-
-    def test_window_stats_reset_on_capacity_clear(self):
-        cache = EvaluationCache(max_entries=2)
-        keys = [EvaluationCache.key(np.array([i], dtype=np.int64),
-                                    np.array([i], dtype=np.int64))
-                for i in range(3)]
-        for i in range(2):
-            cache.get(keys[i])
-            cache.put(keys[i], float(i), float(i))
-        cache.get(keys[0])  # window: 1 hit, 2 misses
-        assert cache.stats["hit_rate"] == pytest.approx(1 / 3)
-        cache.get(keys[2])
-        cache.put(keys[2], 2.0, 2.0)  # at capacity: clears the window
-        stats = cache.stats
-        assert stats["hits"] == 0 and stats["misses"] == 0
-        assert stats["hit_rate"] == 0.0
-        assert stats["lifetime_hits"] == 1
-        assert stats["lifetime_misses"] == 3
+        assert stats["misses"] == 2 * queues
+        assert stats["hits"] == queues
+        assert stats["entries"] == queues
 
     def test_disabled_cache_stats(self, small_system, small_trace):
         ev = make_evaluator(small_system, small_trace, cache_size=0)
-        assert ev.cache is None
-        assert ev.cache_stats["hit_rate"] == 0.0
-        ev.clear_cache()  # no-op, must not raise
+        ev.evaluate_batch(*make_batch(small_system, small_trace, 4, 9))
+        ev.evaluate_batch(*make_batch(small_system, small_trace, 4, 9))
+        stats = ev.cache_stats
+        assert stats["hits"] == 0 and stats["entries"] == 0
+        assert stats["hit_rate"] == 0.0 and stats["reuse_rate"] == 0.0
+        ev.clear_cache()  # must not raise
 
-    def test_distinct_chromosomes_distinct_keys(self):
-        a = np.arange(6, dtype=np.int64)
-        b = a.copy()
-        b[3] = 99
-        assert EvaluationCache.key(a, a) != EvaluationCache.key(b, a)
-        assert EvaluationCache.key(a, a) != EvaluationCache.key(a, b)
+    def test_distinct_chromosomes_distinct_keys(self, small_system,
+                                                small_trace):
+        """Changing one gene changes its queue's fingerprint: the
+        changed queue is folded again, the untouched ones are reused."""
+        assignments, orders = make_batch(small_system, small_trace, 1, 10)
+        ev = make_evaluator(small_system, small_trace)
+        ev.evaluate_batch(assignments, orders)
+        queues = ev.cache_stats["misses"]
+        new_order = orders.copy()
+        new_order[0, 3] = 10 * small_trace.num_tasks  # task 3 now last
+        ev.evaluate_batch(assignments, new_order)
+        batch = ev._batch_kernel.last_batch
+        assert batch["queue_misses"] == 1
+        assert batch["queue_hits"] == queues - 1
+        feasible = FeasibleMachines.from_system_trace(small_system,
+                                                      small_trace)
+        task = int(np.flatnonzero(feasible.counts > 1)[0])
+        moved = assignments.copy()
+        moved[0, task] = next(m for m in feasible.padded[task]
+                              if m != assignments[0, task])
+        ev.evaluate_batch(moved, orders)
+        assert ev._batch_kernel.last_batch["queue_misses"] >= 1
 
     def test_invalid_construction(self, small_system, small_trace):
         with pytest.raises(ScheduleError):
             make_evaluator(small_system, small_trace, cache_size=-1)
-        with pytest.raises(ScheduleError):
-            make_evaluator(small_system, small_trace, kernel_method="turbo")
-        with pytest.raises(ScheduleError):
-            EvaluationCache(max_entries=0)
+        with pytest.raises(ValueError):
+            QueueStateTable(n_slots_log2=2)
 
 
-# -- kernel exactness ---------------------------------------------------------
+# -- fold exactness -----------------------------------------------------------
 
 
-def mirror_finish_times(group, order_key, arrivals, exec_times, row_block=None):
-    """Pure-Python bitwise mirror of ``_segmented_finish_times``.
+#: TUF stand-in: the fold tests pin finish times, not utilities.
+ZERO_TUF = SimpleNamespace(
+    evaluate=lambda task_types, elapsed: np.zeros(np.shape(elapsed))
+)
 
-    Replays the kernel's exact floating-point operation order — stable
-    (group, order) sort, row-local sequential cumulative sum, segment
-    offset subtraction, ``a − (cse − e)`` keys, true running maximum —
-    one scalar at a time.
+
+def fold_finish_times(group, order_key, arrivals, exec_times, use_pool=False):
+    """Per-element finish times from :func:`fold_queues`, input order."""
+    n = group.shape[0]
+    perm = queue_order(group, order_key, SortScratch() if use_pool else None)
+    folds = fold_queues(
+        group[perm], exec_times[perm], arrivals[perm],
+        np.zeros(n, dtype=np.int64), np.zeros(n), ZERO_TUF,
+        pool=FoldPool() if use_pool else None,
+    )
+    finish = np.empty(n)
+    finish[perm] = folds.finish
+    return finish
+
+
+def mirror_finish_times(group, order_key, arrivals, exec_times):
+    """Pure-Python mirror of the queue fold.
+
+    Replays its exact floating-point operation order — stable
+    (group, order) sort, per-queue sequential cumulative sum from 0.0,
+    ``a − cs_{j−1}`` keys, true running maximum — one scalar at a time.
     """
     n = group.shape[0]
-    if row_block is None:
-        row_block = n
-    idx = np.lexsort((np.arange(n), order_key, group))
-    g = group[idx]
-    e = exec_times[idx]
-    a = arrivals[idx]
-    cs = np.empty(n, dtype=np.float64)
-    for r0 in range(0, n, row_block):
-        acc = 0.0
-        for i in range(r0, r0 + row_block):
-            acc = acc + float(e[i])
-            cs[i] = acc
-    finish_sorted = np.empty(n, dtype=np.float64)
-    offset = 0.0
-    runmax = -math.inf
-    for i in range(n):
-        if i == 0 or g[i] != g[i - 1]:
-            offset = 0.0 if i % row_block == 0 else float(cs[i - 1])
-            runmax = -math.inf
-        cse = float(cs[i]) - offset
-        key = float(a[i]) - (cse - float(e[i]))
-        runmax = max(runmax, key)
-        finish_sorted[i] = cse + runmax
     finish = np.empty(n, dtype=np.float64)
-    finish[idx] = finish_sorted
+    current = None
+    for i in np.lexsort((np.arange(n), order_key, group)):
+        if group[i] != current:
+            current = group[i]
+            cs = 0.0
+            runmax = -math.inf
+        runmax = max(runmax, float(arrivals[i]) - cs)
+        cs = cs + float(exec_times[i])
+        finish[i] = runmax + cs
     return finish
 
 
@@ -281,59 +297,49 @@ def random_kernel_inputs(rng, n, queues, arrival_scale=1.0, order_span=None):
 
 class TestKernelExactness:
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("use_scratch", [False, True])
-    def test_fast_matches_python_mirror(self, seed, use_scratch):
+    @pytest.mark.parametrize("use_pool", [False, True])
+    def test_fast_matches_python_mirror(self, seed, use_pool):
+        """The production fold (successor of the retired per-row
+        ``fast`` kernel) equals its scalar mirror, with and without
+        the grow-only buffers."""
         rng = np.random.default_rng(seed)
         inputs = random_kernel_inputs(rng, 200, queues=9)
-        scratch = _KernelScratch() if use_scratch else None
-        fast = _segmented_finish_times(*inputs, scratch=scratch)
-        np.testing.assert_array_equal(fast, mirror_finish_times(*inputs))
+        np.testing.assert_array_equal(
+            fold_finish_times(*inputs, use_pool=use_pool),
+            mirror_finish_times(*inputs),
+        )
 
     @pytest.mark.parametrize("row_block", [10, 50])
     def test_row_block_matches_mirror(self, row_block):
-        """Batch mode: group ids strictly separate rows, cumsums reset
-        per row — exactly as ``evaluate_batch`` drives the kernel."""
+        """Batch layout: queue labels ``row × Q + queue`` keep rows
+        apart, and each queue's sums start from zero — exactly as the
+        batch kernel drives the fold."""
         rng = np.random.default_rng(10)
         rows = 200 // row_block
         group, order_key, arrivals, exec_times = random_kernel_inputs(
             rng, 200, queues=5
         )
         group = group + np.repeat(np.arange(rows), row_block) * 5
-        fast = _segmented_finish_times(
-            group, order_key, arrivals, exec_times, row_block=row_block,
-            scratch=_KernelScratch(),
-        )
         np.testing.assert_array_equal(
-            fast,
-            mirror_finish_times(
-                group, order_key, arrivals, exec_times, row_block=row_block
-            ),
+            fold_finish_times(group, order_key, arrivals, exec_times,
+                              use_pool=True),
+            mirror_finish_times(group, order_key, arrivals, exec_times),
         )
-
-    def test_fast_close_to_reference_at_normal_magnitudes(self):
-        rng = np.random.default_rng(20)
-        inputs = random_kernel_inputs(rng, 300, queues=12)
-        fast = _segmented_finish_times(*inputs, scratch=_KernelScratch())
-        ref = _segmented_finish_times_reference(*inputs)
-        np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_exact_at_extreme_magnitudes(self, seed):
-        """Arrivals around 2⁴⁰ with full mantissas across many segments:
-        the regime where ``seg_id × big`` offsets round away low bits.
-        The production kernel must still match the scalar mirror bit
-        for bit (its offset trick is validated and falls back to the
-        exact scan when lossy)."""
+        """Arrivals around 2⁴⁰ with full mantissas across many queues:
+        the regime where ``queue × big`` offsets would round away low
+        bits.  The fold uses no offsets and matches the scalar mirror
+        bit for bit."""
         rng = np.random.default_rng(100 + seed)
         n = 400
         group, order_key, _, _ = random_kernel_inputs(rng, n, queues=50)
         arrivals = 2.0**40 + rng.uniform(0.0, 1.0, size=n)
         exec_times = rng.uniform(1e-6, 1e-3, size=n)
-        fast = _segmented_finish_times(
-            group, order_key, arrivals, exec_times, scratch=_KernelScratch()
-        )
         np.testing.assert_array_equal(
-            fast, mirror_finish_times(group, order_key, arrivals, exec_times)
+            fold_finish_times(group, order_key, arrivals, exec_times),
+            mirror_finish_times(group, order_key, arrivals, exec_times),
         )
 
     def test_negative_and_huge_order_keys(self):
@@ -343,35 +349,8 @@ class TestKernelExactness:
         rng = np.random.default_rng(30)
         group, _, arrivals, exec_times = random_kernel_inputs(rng, 64, queues=4)
         order_key = rng.integers(-(2**62), 2**62, size=64)
-        fast = _segmented_finish_times(
-            group, order_key, arrivals, exec_times, scratch=_KernelScratch()
-        )
         np.testing.assert_array_equal(
-            fast, mirror_finish_times(group, order_key, arrivals, exec_times)
+            fold_finish_times(group, order_key, arrivals, exec_times,
+                              use_pool=True),
+            mirror_finish_times(group, order_key, arrivals, exec_times),
         )
-
-    def test_row_block_must_divide_input(self):
-        with pytest.raises(ScheduleError):
-            _segmented_finish_times(
-                np.zeros(5, dtype=np.int64),
-                np.arange(5),
-                np.zeros(5),
-                np.ones(5),
-                row_block=2,
-            )
-
-    def test_kernel_method_dispatch(self, small_system, small_trace):
-        """Both configured kernels agree on realistic workloads (to
-        float precision) while the engines stay bit-identical per
-        kernel."""
-        assignments, orders = make_batch(small_system, small_trace, 12, 8)
-        fast = make_evaluator(
-            small_system, small_trace, cache_size=0, kernel_method="fast"
-        )
-        ref = make_evaluator(
-            small_system, small_trace, cache_size=0, kernel_method="reference"
-        )
-        e0, u0 = fast.evaluate_batch(assignments, orders)
-        e1, u1 = ref.evaluate_batch(assignments, orders)
-        np.testing.assert_allclose(e0, e1, rtol=1e-12)
-        np.testing.assert_allclose(u0, u1, rtol=1e-9)
