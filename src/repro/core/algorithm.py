@@ -101,11 +101,6 @@ class AlgorithmConfig:
         ``False`` runs the O(N²) dominance-matrix reference path; both
         produce bit-identical fronts for the same seed, asserted by
         ``tests/test_core_nsga2_fastpath.py``.
-    order_sampling:
-        How the initial population draws scheduling orders: ``"legacy"``
-        (default) preserves the historical per-row ``rng.permutation``
-        stream (checkpoint/seed compatible); ``"vectorized"`` draws one
-        key matrix and argsorts it (faster, different stream).
     """
 
     population_size: int = 100
@@ -114,7 +109,6 @@ class AlgorithmConfig:
     mutation_probability: Optional[float] = None
     store_front_solutions: bool = False
     fast_path: bool = True
-    order_sampling: str = "legacy"
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -124,11 +118,6 @@ class AlgorithmConfig:
         if self.offspring_size is not None and self.offspring_size < 1:
             raise OptimizationError(
                 f"offspring_size must be >= 1, got {self.offspring_size}"
-            )
-        if self.order_sampling not in ("legacy", "vectorized"):
-            raise OptimizationError(
-                "order_sampling must be 'legacy' or 'vectorized'; got "
-                f"{self.order_sampling!r}"
             )
         if self.mutation_probability is not None:
             object.__setattr__(
@@ -265,7 +254,7 @@ class Algorithm:
         with self.obs.span("ga.initial_population", seeds=len(seeds)):
             self.population = seeded_initial_population(
                 self.feasible, self.config.population_size, list(seeds),
-                self._rng, order_sampling=self.config.order_sampling,
+                self._rng,
             )
             self.population.evaluate(evaluator)
         self._evaluations = self.population.size

@@ -67,7 +67,6 @@ def NSGA2Config(
     operators: Optional[OperatorConfig] = None,
     store_front_solutions: bool = False,
     fast_path: bool = True,
-    order_sampling: str = "legacy",
 ) -> AlgorithmConfig:
     """Deprecated alias for :class:`~repro.core.algorithm.AlgorithmConfig`.
 
@@ -86,7 +85,6 @@ def NSGA2Config(
         operators=operators if operators is not None else OperatorConfig(),
         store_front_solutions=store_front_solutions,
         fast_path=fast_path,
-        order_sampling=order_sampling,
     )
 
 

@@ -57,41 +57,20 @@ class Population:
         feasible: FeasibleMachines,
         size: int,
         rng: np.random.Generator,
-        order_sampling: str = "legacy",
     ) -> "Population":
         """Uniformly random feasible population.
 
         Machines are drawn uniformly among each task's feasible set;
         each chromosome's scheduling order is an independent uniform
-        permutation of ``0..T-1``.
-
-        Parameters
-        ----------
-        order_sampling:
-            ``"legacy"`` (default) draws one ``rng.permutation`` per row
-            — the historical stream, kept so existing seeds and
-            checkpoints reproduce bit-identically.  ``"vectorized"``
-            argsorts one ``(size, T)`` uniform key matrix: each row is
-            an independent uniform permutation (keys are distinct with
-            probability 1) drawn in a single vectorized operation, but
-            from a different point of the RNG stream.
+        permutation of ``0..T-1``, one ``rng.permutation`` per row.
         """
         if size < 1:
             raise OptimizationError(f"population size must be >= 1, got {size}")
-        if order_sampling not in ("legacy", "vectorized"):
-            raise OptimizationError(
-                "order_sampling must be 'legacy' or 'vectorized'; got "
-                f"{order_sampling!r}"
-            )
         T = feasible.num_tasks
         assignments = feasible.sample_matrix(size, rng)
-        if order_sampling == "vectorized":
-            keys = rng.random((size, T))
-            orders = np.argsort(keys, axis=1).astype(np.int64)
-        else:
-            orders = np.empty((size, T), dtype=np.int64)
-            for i in range(size):  # permutations per row; loop over N only
-                orders[i] = rng.permutation(T)
+        orders = np.empty((size, T), dtype=np.int64)
+        for i in range(size):  # permutations per row; loop over N only
+            orders[i] = rng.permutation(T)
         return cls(assignments=assignments, orders=orders)
 
     # -- sizes ---------------------------------------------------------------

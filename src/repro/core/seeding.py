@@ -32,7 +32,6 @@ def seeded_initial_population(
     size: int,
     seeds: Sequence[ResourceAllocation],
     rng_seed: SeedLike = None,
-    order_sampling: str = "legacy",
 ) -> Population:
     """Random population of *size* with *seeds* occupying the first rows.
 
@@ -46,16 +45,13 @@ def seeded_initial_population(
         Heuristic allocations to inject (must fit: ``len(seeds) <= size``).
     rng_seed:
         Randomness for the non-seed rows.
-    order_sampling:
-        Passed through to :meth:`Population.random` — ``"legacy"``
-        (default, historical RNG stream) or ``"vectorized"``.
     """
     if len(seeds) > size:
         raise OptimizationError(
             f"{len(seeds)} seeds do not fit in a population of {size}"
         )
     rng = ensure_rng(rng_seed)
-    population = Population.random(feasible, size, rng, order_sampling=order_sampling)
+    population = Population.random(feasible, size, rng)
     for row, seed in enumerate(seeds):
         if seed.num_tasks != feasible.num_tasks:
             raise OptimizationError(

@@ -497,6 +497,9 @@ PortfolioResult`).
             ExperimentConfig.from_spec(spec["config"]),
             algorithms=list(spec["algorithms"]),
             exact_epsilon=spec.get("exact_epsilon"),
+            workers=workers,
+            transport=transport,
+            retry=retry,
             grid_dir=grid_dir,
             obs=obs,
         )

@@ -12,15 +12,17 @@ against the exact contention-free baseline of :mod:`repro.exact`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from repro.analysis.portfolio import PortfolioComparison, compare_portfolio
 from repro.core.algorithm import RunHistory
 from repro.core.registry import available_algorithms, make_algorithm
-from repro.errors import ExperimentError
+from repro.errors import AlgorithmLookupError, ExperimentError
 from repro.exact.baselines import ExactFront, exact_energy_utility_front
+from repro.experiments.cells import CellSpec, run_cells
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.datasets import DatasetBundle
+from repro.experiments.runner import RetryPolicy
 from repro.heuristics import SEEDING_HEURISTICS
 from repro.rng import derive_seed
 from repro.sim.evaluator import ScheduleEvaluator
@@ -69,7 +71,11 @@ def run_portfolio(
     algorithms: Optional[Sequence[str]] = None,
     *,
     exact_epsilon: Optional[float] = 0.05,
+    workers: int = 0,
+    transport: str = "auto",
+    retry: Optional[RetryPolicy] = None,
     grid_dir: Optional[str] = None,
+    fault_hook: Optional[Callable[[str, int], None]] = None,
     obs: Optional["RunContext"] = None,
 ) -> PortfolioResult:
     """Run every algorithm in *algorithms* over *dataset* and score them.
@@ -91,6 +97,20 @@ def run_portfolio(
         :func:`repro.exact.exact_energy_utility_front`).  ``None``
         skips the exact baseline entirely, dropping the
         distance-to-optimal columns.
+    workers:
+        Process-pool size for running the algorithms in parallel; 0
+        (default) runs them in process.  Histories are bit-identical
+        either way: each algorithm's RNG stream comes from the config
+        seed, never from execution order.
+    transport:
+        Array transport for the pool: ``"auto"``, ``"shm"``, or
+        ``"pickle"``; results are bit-identical across transports.
+    retry:
+        Per-algorithm :class:`~repro.experiments.runner.RetryPolicy`
+        (default: 3 attempts, exponential backoff).  An algorithm that
+        exhausts its budget raises :class:`~repro.errors.ExperimentError`
+        naming it, chained to the last failure — a comparison with a
+        missing entrant would rank the rest wrongly.
     grid_dir:
         Optional durable grid directory (see
         :mod:`repro.parallel.manifest`).  Each algorithm's run becomes
@@ -98,9 +118,12 @@ def run_portfolio(
         with the same *grid_dir* skips finished algorithms and re-drives
         only the rest (``repro-analyze grid resume`` does this after a
         crash).  ``None`` keeps the zero-overhead in-memory path.
+    fault_hook:
+        Test-only ``(algorithm, attempt)`` hook invoked at the top of
+        every cell attempt.  Must be picklable when ``workers > 1``.
     obs:
         Optional run context; each algorithm's run records its usual
-        telemetry under its own label.
+        telemetry under its own label and a ``portfolio.run`` span.
 
     Every algorithm starts from the same seeds: all four heuristic
     allocations (the strongest available warm start) plus random
@@ -115,6 +138,12 @@ def run_portfolio(
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ExperimentError(f"duplicate portfolio algorithms: {dupes}")
+    unknown = [name for name in names if name not in available_algorithms()]
+    if unknown:
+        raise AlgorithmLookupError(
+            f"unknown algorithm(s) {unknown}; registered: "
+            f"{', '.join(available_algorithms())}"
+        )
 
     if obs is None:
         from repro.obs.context import NULL_CONTEXT
@@ -122,15 +151,8 @@ def run_portfolio(
         obs = NULL_CONTEXT
     obs = obs.bind(dataset=dataset.name)
 
-    binding = None
-    todo = list(names)
-    histories: dict[str, RunHistory] = {}
+    grid_spec = None
     if grid_dir is not None:
-        # Function-level import: repro.experiments.io has an import
-        # cycle with the runner result types.
-        from repro.experiments.grid import GridBinding
-        from repro.experiments.io import history_from_doc, history_to_doc
-
         grid_spec = {
             "driver": "portfolio",
             "dataset": {"name": dataset.name, "seed": dataset.seed},
@@ -138,55 +160,44 @@ def run_portfolio(
             "algorithms": list(names),
             "exact_epsilon": exact_epsilon,
         }
-        binding = GridBinding.open_or_create(
-            grid_dir, spec=grid_spec, dataset=dataset,
-            keys=list(names), obs=obs,
-        )
-        for done_name, payload in binding.preloaded.items():
-            histories[done_name] = history_from_doc(
-                done_name, payload["history"]
-            )
-        todo = binding.pending_keys(names)
 
-    seeds = [
-        SEEDING_HEURISTICS[name]().build(dataset.system, dataset.trace)
-        for name in sorted(SEEDING_HEURISTICS)
-    ]
+    def give_up(name: str, attempt: int, exc: BaseException) -> None:
+        raise ExperimentError(
+            f"portfolio algorithm {name!r} failed after {attempt} "
+            f"attempt(s): {type(exc).__name__}: {exc}"
+        ) from exc
 
-    for name in todo:
-        evaluator = ScheduleEvaluator(
-            dataset.system, dataset.trace, check_feasibility=False, obs=obs
+    histories, quarantined = run_cells(
+        CellSpec(
+            driver="portfolio", span="portfolio.run", key_attr="algorithm",
+            backoff_stream=(config.base_seed, "portfolio-backoff"),
+        ),
+        _portfolio_cell,
+        names,
+        dataset=dataset,
+        extra={
+            "config": config,
+            "seeds": [
+                SEEDING_HEURISTICS[name]().build(dataset.system, dataset.trace)
+                for name in sorted(SEEDING_HEURISTICS)
+            ],
+            "fault_hook": fault_hook,
+        },
+        policy=retry if retry is not None else RetryPolicy(),
+        give_up=give_up,
+        obs=obs,
+        workers=workers,
+        transport=transport,
+        grid_dir=grid_dir,
+        grid_spec=grid_spec,
+    )
+    if quarantined:
+        raise ExperimentError(
+            f"portfolio algorithms {list(quarantined)} were quarantined "
+            f"(each crashed its workers repeatedly); inspect with "
+            f"'repro-analyze grid status', re-drive with "
+            f"'repro-analyze grid retry-quarantined'."
         )
-        engine = make_algorithm(
-            name,
-            evaluator,
-            config.algorithm_config(),
-            seeds=seeds,
-            rng=derive_seed(config.base_seed, dataset.name, name),
-            label=name,
-            obs=obs,
-        )
-        if binding is not None:
-            binding.mark_running(name)
-        try:
-            with obs.span("portfolio.run", algorithm=name):
-                history = engine.run(
-                    generations=config.generations,
-                    checkpoints=list(config.checkpoints),
-                )
-        except KeyboardInterrupt:
-            raise
-        except Exception as exc:
-            if binding is not None:
-                binding.mark_failed(name, 1, exc)
-            raise
-        histories[name] = history
-        if binding is not None:
-            binding.record_done(name, {"history": history_to_doc(history)})
-
-    # Preloaded cells land first; restore portfolio order so tables and
-    # comparisons read identically to an uninterrupted run.
-    histories = {name: histories[name] for name in names if name in histories}
     fronts = {
         name: history.final.front_points
         for name, history in histories.items()
@@ -207,4 +218,30 @@ def run_portfolio(
         histories=histories,
         comparison=comparison,
         exact=exact,
+    )
+
+
+def _portfolio_cell(source, extra: dict, name: str, attempt: int, obs) -> RunHistory:
+    """Cell body: one algorithm's run, inline or in a pool worker.
+
+    Each attempt gets its own evaluator; the RNG stream is
+    ``derive_seed(base_seed, dataset, name)``, so histories do not
+    depend on portfolio order, worker count, or transport.
+    """
+    fault_hook = extra["fault_hook"]
+    if fault_hook is not None:
+        fault_hook(name, attempt)
+    config: ExperimentConfig = extra["config"]
+    engine = make_algorithm(
+        name,
+        source.make_evaluator(check_feasibility=False, obs=obs),
+        config.algorithm_config(),
+        seeds=extra["seeds"],
+        rng=derive_seed(config.base_seed, source.bundle.name, name),
+        label=name,
+        obs=obs,
+    )
+    return engine.run(
+        generations=config.generations,
+        checkpoints=list(config.checkpoints),
     )

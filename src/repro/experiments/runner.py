@@ -8,15 +8,16 @@ population (star).  Each population evolves independently with its own
 derived RNG stream; snapshots are taken at the configured checkpoint
 generations.
 
-Fault tolerance (see ``docs/fault_tolerance.md``): each population
-worker is an *attempt* governed by a :class:`RetryPolicy` — bounded
-retries with exponential backoff + deterministic jitter, and (in the
-process-pool path) a per-attempt timeout.  A population that exhausts
-its attempts degrades to a :class:`PopulationFailure` record on the
-result instead of destroying its siblings' work; ``strict=True``
-restores fail-fast semantics.  With a ``checkpoint_dir``, retries and
-explicit resumes continue from the population's last durable NSGA-II
-checkpoint rather than starting over.
+Fault tolerance (see ``docs/fault_tolerance.md``): each population is
+a grid cell run by :func:`repro.experiments.cells.run_cells`, in
+process or in a worker pool; every attempt is governed by a
+:class:`RetryPolicy` — bounded retries with exponential backoff +
+deterministic jitter, and (in the pool) a per-attempt timeout.  A
+population that exhausts its attempts degrades to a
+:class:`PopulationFailure` record on the result instead of destroying
+its siblings' work; ``strict=True`` restores fail-fast semantics.  With
+a ``checkpoint_dir``, retries and explicit resumes continue from the
+population's last durable NSGA-II checkpoint rather than starting over.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ from repro.analysis.pareto_front import ParetoFront
 from repro.core.algorithm import RunHistory
 from repro.core.registry import make_algorithm
 from repro.errors import ExperimentError
+from repro.experiments.cells import CellSpec, run_cells
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.datasets import DatasetBundle
 from repro.heuristics import SEEDING_HEURISTICS
-from repro.rng import derive_seed, ensure_rng
+from repro.rng import derive_seed
 from repro.sim.evaluator import ScheduleEvaluator
 from repro.sim.schedule import ResourceAllocation
 
@@ -80,17 +82,20 @@ class PopulationFailure:
 
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
-    """Bounded-retry behaviour of one population worker.
+    """Bounded-retry behaviour of one grid cell (population, repetition,
+    or portfolio algorithm), the same in process and in a worker pool.
 
     Attributes
     ----------
     max_attempts:
-        Total attempts per population (1 = no retry).
+        Total attempts per cell (1 = no retry).
     timeout:
-        Per-attempt wall-clock limit in seconds (process-pool path
-        only — a single in-process run cannot be pre-empted; ``None``
-        disables).  A timed-out attempt counts as a failure and is
-        retried under the same policy.  The abandoned worker process
+        Per-attempt wall-clock limit in seconds (``None`` disables).
+        Enforced in the worker pool only: an attempt that runs in the
+        coordinator's own process (``workers <= 1``, or one cell left
+        to run) cannot be pre-empted, so there it is ignored.  A
+        timed-out attempt counts as a failure and is retried under the
+        same policy.  The abandoned worker process
         cannot be killed mid-task; it occupies a pool slot until it
         finishes or the pool shuts down.
     backoff_base:
@@ -100,7 +105,7 @@ class RetryPolicy:
         Delay ceiling.
     jitter:
         (``"proportional"`` mode only.)  Multiplies the delay by
-        ``1 + jitter * u`` with ``u ~ U[0, 1)`` drawn from a per-label
+        ``1 + jitter * u`` with ``u ~ U[0, 1)`` drawn from a per-cell
         stream derived from the experiment seed, so backoff spreading
         is reproducible.
     jitter_mode:
@@ -112,7 +117,7 @@ class RetryPolicy:
         (capped at ``backoff_max``), so a batch of cells that all
         failed at the same instant — one dead worker takes out a whole
         pool generation — fan out instead of hammering the retry path
-        in lockstep.  Both modes draw from the same per-label seeded
+        in lockstep.  Both modes draw from the same per-cell seeded
         streams, so schedules stay reproducible.
     """
 
@@ -219,57 +224,6 @@ class SeededPopulationResult:
         return tuple(f.label for f in self.failures)
 
 
-def _run_one_population(
-    dataset: DatasetBundle,
-    config: ExperimentConfig,
-    label: str,
-    seeds: list[ResourceAllocation],
-    attempt: int = 1,
-    fault_hook: Optional[Callable[[str, int], None]] = None,
-    evaluation_fault_hook: Optional[Callable[[], None]] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    obs: Optional["RunContext"] = None,
-) -> tuple[str, RunHistory]:
-    """Worker body: one population's full optimizer run.
-
-    The engine is looked up from ``config.algorithm`` through the
-    portfolio registry, so the same worker serves NSGA-II, SPEA2,
-    MOEA/D, and the archive variants.  Module-level (picklable) so
-    :func:`run_seeded_populations` can farm populations out to a
-    process pool — the five populations share no state and are
-    embarrassingly parallel.  *fault_hook* (called with ``(label,
-    attempt)`` before any work) and *evaluation_fault_hook* (threaded
-    into the evaluator) exist for the deterministic fault-injection
-    harness.  *obs* is only threaded through on the sequential path — a
-    :class:`~repro.obs.context.RunContext` is not picklable into pool
-    workers, so parallel runs record coordinator-side telemetry
-    (retries, failures, timings) only.
-    """
-    if fault_hook is not None:
-        fault_hook(label, attempt)
-    evaluator = ScheduleEvaluator(dataset.system, dataset.trace,
-                                  check_feasibility=False,
-                                  fault_hook=evaluation_fault_hook,
-                                  obs=obs)
-    ga = make_algorithm(
-        config.algorithm,
-        evaluator,
-        config.algorithm_config(),
-        seeds=seeds,
-        rng=derive_seed(config.base_seed, dataset.name, label),
-        label=label,
-        obs=obs,
-    )
-    history = ga.run(
-        generations=config.generations,
-        checkpoints=list(config.checkpoints),
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    )
-    return label, history
-
-
 def run_seeded_populations(
     dataset: DatasetBundle,
     config: ExperimentConfig,
@@ -349,18 +303,20 @@ def run_seeded_populations(
         path.
     fault_hook:
         Test-only ``(label, attempt)`` hook invoked at the top of every
-        worker attempt (see :mod:`repro.testing.faults`).  Must be
-        picklable when ``workers > 1``.
+        attempt, in process and in pool workers alike (see
+        :mod:`repro.testing.faults`).  Must be picklable when
+        ``workers > 1``.
     evaluation_fault_hook:
-        Test-only zero-arg hook threaded into each worker's
+        Test-only zero-arg hook threaded into each attempt's
         :class:`~repro.sim.evaluator.ScheduleEvaluator`.
     sleep:
         Injectable sleep used for backoff waits (tests pass a recorder).
     obs:
         Optional :class:`~repro.obs.context.RunContext`.  Records
-        heuristic-seeding spans, retry/failure events and counters, and
-        (sequentially only — contexts don't cross process boundaries)
-        the full per-population GA/evaluator/checkpoint telemetry.
+        heuristic-seeding spans, a ``population.run`` span per
+        population, retry/failure events and counters, and (in process
+        only — contexts don't cross process boundaries) the full
+        per-population GA/evaluator/checkpoint telemetry.
     """
     labels = list(labels)
     if len(set(labels)) != len(labels):
@@ -373,7 +329,7 @@ def run_seeded_populations(
         obs = NULL_CONTEXT
     obs = obs.bind(dataset=dataset.name)
 
-    binding = None
+    grid_spec = None
     if grid_dir is not None:
         if extra_seeds:
             raise ExperimentError(
@@ -383,18 +339,12 @@ def run_seeded_populations(
             )
         from pathlib import Path
 
-        from repro.experiments.grid import GridBinding
-
         grid_spec = {
             "driver": "seeded-populations",
             "dataset": {"name": dataset.name, "seed": dataset.seed},
             "config": config.to_spec(),
             "labels": list(labels),
         }
-        binding = GridBinding.open_or_create(
-            grid_dir, spec=grid_spec, dataset=dataset,
-            keys=list(labels), obs=obs,
-        )
         if checkpoint_dir is None:
             # Re-driven cells should resume mid-run, not restart.
             checkpoint_dir = str(Path(grid_dir) / "checkpoints")
@@ -435,48 +385,7 @@ def run_seeded_populations(
             return []
         return list(extra_seeds[label])  # type: ignore[index]
 
-    backoff_rngs: dict[str, np.random.Generator] = {}
-    prev_delays: dict[str, float] = {}
-
-    def backoff_for(label: str, attempt: int) -> float:
-        if label not in backoff_rngs:
-            backoff_rngs[label] = ensure_rng(
-                derive_seed(config.base_seed, "retry-backoff", label)
-            )
-        delay = policy.delay(
-            attempt, backoff_rngs[label], prev=prev_delays.get(label)
-        )
-        prev_delays[label] = delay
-        # backoff_for is called exactly once per scheduled retry, on
-        # both the sequential and the process-pool paths.
-        if obs.enabled:
-            obs.counter(
-                "runner_retries_total", help="population attempts retried"
-            ).inc()
-            obs.event(
-                "retry.scheduled", level="warning",
-                label=label, failed_attempt=attempt, delay_seconds=delay,
-            )
-        return delay
-
-    def resume_attempt(attempt: int) -> bool:
-        # Explicit resumes always; retries resume iff checkpoints exist.
-        return resume or (attempt > 1 and checkpoint_dir is not None)
-
-    histories: dict[str, RunHistory] = {}
     failures: list[PopulationFailure] = []
-
-    todo: list[str] = list(labels)
-    if binding is not None:
-        # Function-level import: repro.experiments.io imports this
-        # module for its result types.
-        from repro.experiments.io import history_from_doc, history_to_doc
-
-        for done_label, payload in binding.preloaded.items():
-            histories[done_label] = history_from_doc(
-                done_label, payload["history"]
-            )
-        todo = binding.pending_keys(labels)
 
     def give_up(label: str, attempt: int, exc: BaseException) -> None:
         if obs.enabled:
@@ -502,70 +411,42 @@ def run_seeded_populations(
             )
         )
 
-    if workers and workers > 1 and len(todo) > 1:
-        _run_parallel(
-            dataset, config, todo, seeds_for, workers, policy,
-            fault_hook, evaluation_fault_hook, checkpoint_dir,
-            resume_attempt, backoff_for, give_up, histories, sleep,
-            obs=obs, transport=transport, binding=binding,
+    histories, quarantined = run_cells(
+        CellSpec(
+            driver="seeded-populations", span="population.run",
+            key_attr="label", backoff_stream=(config.base_seed, "retry-backoff"),
+        ),
+        _population_cell,
+        labels,
+        dataset=dataset,
+        extra={
+            "config": config,
+            "seeds": {label: seeds_for(label) for label in labels},
+            "fault_hook": fault_hook,
+            "evaluation_fault_hook": evaluation_fault_hook,
+            "checkpoint_dir": checkpoint_dir,
+            "resume": resume,
+        },
+        policy=policy,
+        give_up=give_up,
+        obs=obs,
+        workers=workers,
+        transport=transport,
+        grid_dir=grid_dir,
+        grid_spec=grid_spec,
+        sleep=sleep,
+    )
+    for q_label, attempts in quarantined.items():
+        message = (
+            "quarantined after repeated worker crashes "
+            "(inspect with 'repro-analyze grid status', re-drive with "
+            "'repro-analyze grid retry-quarantined')"
         )
-    else:
-        for label in todo:
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    if binding is not None:
-                        binding.mark_running(label, attempt)
-                    _, history = _run_one_population(
-                        dataset, config, label, seeds_for(label),
-                        attempt=attempt,
-                        fault_hook=fault_hook,
-                        evaluation_fault_hook=evaluation_fault_hook,
-                        checkpoint_dir=checkpoint_dir,
-                        resume=resume_attempt(attempt),
-                        obs=obs,
-                    )
-                    histories[label] = history
-                    if binding is not None:
-                        binding.record_done(
-                            label, {"history": history_to_doc(history)}
-                        )
-                    break
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    if binding is not None:
-                        binding.mark_failed(label, attempt, exc)
-                    if attempt >= policy.max_attempts:
-                        give_up(label, attempt, exc)
-                        break
-                    sleep(backoff_for(label, attempt))
-
-    # Cells land in completion (or preload) order; restore label order
-    # so every downstream iteration (reports, dominance tables) is
-    # identical to a serial, non-grid run.
-    histories = {
-        label: histories[label] for label in labels if label in histories
-    }
-
-    if binding is not None:
-        for q_label in binding.quarantined_keys():
-            status = binding.manifest.cells[q_label]
-            message = (
-                "quarantined after repeated worker crashes "
-                "(inspect with 'repro-analyze grid status', re-drive with "
-                "'repro-analyze grid retry-quarantined')"
-            )
-            if strict:
-                raise ExperimentError(f"population {q_label!r} {message}")
-            failures.append(
-                PopulationFailure(
-                    label=q_label,
-                    attempts=max(status.attempt, 1),
-                    error=message,
-                )
-            )
+        if strict:
+            raise ExperimentError(f"population {q_label!r} {message}")
+        failures.append(
+            PopulationFailure(label=q_label, attempts=attempts, error=message)
+        )
 
     if labels and not histories:
         summary = "; ".join(f"{f.label}: {f.error}" for f in failures)
@@ -579,132 +460,42 @@ def run_seeded_populations(
     )
 
 
-def _population_cell(
-    restored,
-    extra: dict,
-    label: str,
-    attempt: int,
-    resume: bool,
-) -> tuple[str, RunHistory]:
-    """Engine cell body: one population attempt on the shared dataset.
+def _population_cell(source, extra: dict, label: str, attempt: int, obs) -> RunHistory:
+    """Cell body: one population attempt, inline or in a pool worker.
 
-    Runs in a pool worker.  *restored* is the worker's memoized
-    :class:`~repro.parallel.descriptors.RestoredDataset` — the
-    evaluator is built over its zero-copy shared views, so per-attempt
-    setup does no O(tasks × machines) array work.  The RNG stream is
-    derived exactly as on the sequential path, so results are
-    bit-identical regardless of execution order or transport.
+    The engine is looked up from ``config.algorithm`` through the
+    portfolio registry, so the same body serves NSGA-II, SPEA2, MOEA/D,
+    and the archive variants.  Each attempt builds its own evaluator;
+    the RNG stream is derived from the config seed and the label, so
+    results are bit-identical whatever the execution order, worker
+    count, or transport.  ``extra["fault_hook"]`` (called with
+    ``(label, attempt)`` before any work) and
+    ``extra["evaluation_fault_hook"]`` (threaded into the evaluator)
+    serve the fault-injection harness.  Retries resume from the
+    population's checkpoint when there is a checkpoint directory.
     """
-    from repro.parallel.engine import worker_obs
-
     fault_hook = extra["fault_hook"]
     if fault_hook is not None:
         fault_hook(label, attempt)
     config: ExperimentConfig = extra["config"]
-    dataset = restored.bundle
-    evaluator = restored.make_evaluator(
+    checkpoint_dir = extra["checkpoint_dir"]
+    evaluator = source.make_evaluator(
         check_feasibility=False,
         fault_hook=extra["evaluation_fault_hook"],
+        obs=obs,
     )
     ga = make_algorithm(
         config.algorithm,
         evaluator,
         config.algorithm_config(),
         seeds=extra["seeds"][label],
-        rng=derive_seed(config.base_seed, dataset.name, label),
+        rng=derive_seed(config.base_seed, source.bundle.name, label),
         label=label,
-        # The worker's own telemetry sink (NULL_CONTEXT when dark): GA
-        # stage spans nest under this cell's ``cell.run`` span.
-        obs=worker_obs(),
+        obs=obs,
     )
-    history = ga.run(
+    return ga.run(
         generations=config.generations,
         checkpoints=list(config.checkpoints),
-        checkpoint_dir=extra["checkpoint_dir"],
-        resume=resume,
+        checkpoint_dir=checkpoint_dir,
+        resume=extra["resume"] or (attempt > 1 and checkpoint_dir is not None),
     )
-    return label, history
-
-
-def _run_parallel(
-    dataset: DatasetBundle,
-    config: ExperimentConfig,
-    labels: Sequence[str],
-    seeds_for: Callable[[str], list[ResourceAllocation]],
-    workers: int,
-    policy: RetryPolicy,
-    fault_hook: Optional[Callable[[str, int], None]],
-    evaluation_fault_hook: Optional[Callable[[], None]],
-    checkpoint_dir: Optional[str],
-    resume_attempt: Callable[[int], bool],
-    backoff_for: Callable[[str, int], float],
-    give_up: Callable[[str, int, BaseException], None],
-    histories: dict[str, RunHistory],
-    sleep: Callable[[float], None],
-    obs: Optional["RunContext"] = None,
-    transport: str = "auto",
-    binding=None,
-) -> None:
-    """Zero-copy process-pool orchestration via the parallel engine.
-
-    The dataset's arrays are published once into shared memory (see
-    :mod:`repro.parallel`); workers attach zero-copy through the pool
-    initializer, so each cell submission carries only ``(label,
-    attempt, resume)``.  The engine provides as-completed collection,
-    heap-scheduled backoff retries, per-attempt timeouts with cell
-    leases (a timed-out attempt and its retry never run concurrently),
-    and clean ``KeyboardInterrupt`` shutdown.
-    """
-    from repro.obs.context import NULL_CONTEXT
-    from repro.obs.distributed import GRID_SPAN_NAME, WorkerTelemetryConfig
-    from repro.parallel.descriptors import publish_dataset
-    from repro.parallel.engine import CellReply, ParallelEngine
-
-    extra = {
-        "config": config,
-        "seeds": {label: seeds_for(label) for label in labels},
-        "fault_hook": fault_hook,
-        "evaluation_fault_hook": evaluation_fault_hook,
-        "checkpoint_dir": checkpoint_dir,
-    }
-
-    def on_result(reply: CellReply) -> None:
-        finished_label, history = reply.result
-        histories[finished_label] = history
-        if binding is not None:
-            from repro.experiments.io import history_to_doc
-
-            binding.record_done(
-                finished_label, {"history": history_to_doc(history)}
-            )
-        if obs is not None and obs.enabled:
-            obs.record_span(
-                "population.run", reply.elapsed,
-                label=finished_label, attempt=reply.attempt,
-            )
-
-    journal = binding.worker_journal() if binding is not None else None
-    run_kwargs = binding.run_kwargs() if binding is not None else {}
-    grid_id = binding.manifest.grid_id if binding is not None else ""
-    telemetry = WorkerTelemetryConfig.from_context(obs, grid_id=grid_id)
-    grid_obs = obs if obs is not None else NULL_CONTEXT
-    with publish_dataset(dataset, transport=transport, obs=obs) as published:
-        with ParallelEngine(
-            workers, handle=published.handle, extra=extra, obs=obs,
-            journal=journal, telemetry=telemetry,
-        ) as engine:
-            with grid_obs.span(
-                GRID_SPAN_NAME, grid_id=grid_id, cells=len(labels),
-                driver="seeded-populations",
-            ):
-                engine.run(
-                    _population_cell,
-                    labels,
-                    payload_for=lambda label, attempt: resume_attempt(attempt),
-                    policy=policy,
-                    backoff_for=backoff_for,
-                    give_up=give_up,
-                    on_result=on_result,
-                    sleep=sleep,
-                    **run_kwargs,
-                )

@@ -13,10 +13,8 @@ import pytest
 
 from repro.core.crowding import crowding_by_front
 from repro.core.nsga2 import NSGA2, NSGA2Config
-from repro.core.operators import FeasibleMachines, OperatorConfig
-from repro.core.population import Population
+from repro.core.operators import OperatorConfig
 from repro.core.sorting import fast_nondominated_sort
-from repro.errors import OptimizationError
 from repro.sim.evaluator import ScheduleEvaluator
 from repro.testing.faults import FaultPlan, InjectedFault
 
@@ -176,40 +174,6 @@ class TestSharedRanks:
                 combined[front], posinf=np.finfo(np.float64).max
             )
             np.testing.assert_array_equal(per_front, expected)
-
-
-class TestOrderSampling:
-    def test_vectorized_orders_are_permutations(self, small_system,
-                                                small_trace):
-        feasible = FeasibleMachines.from_system_trace(small_system, small_trace)
-        rng = np.random.default_rng(5)
-        pop = Population.random(feasible, 12, rng, order_sampling="vectorized")
-        T = small_trace.num_tasks
-        for row in pop.orders:
-            np.testing.assert_array_equal(np.sort(row), np.arange(T))
-
-    def test_legacy_is_the_default_stream(self, small_system, small_trace):
-        feasible = FeasibleMachines.from_system_trace(small_system, small_trace)
-        default = Population.random(feasible, 6, np.random.default_rng(9))
-        legacy = Population.random(
-            feasible, 6, np.random.default_rng(9), order_sampling="legacy"
-        )
-        np.testing.assert_array_equal(default.orders, legacy.orders)
-        np.testing.assert_array_equal(default.assignments, legacy.assignments)
-
-    def test_engine_accepts_vectorized_sampling(self, small_system,
-                                                small_trace):
-        evaluator = ScheduleEvaluator(
-            small_system, small_trace, check_feasibility=False
-        )
-        config = NSGA2Config(population_size=POP, order_sampling="vectorized")
-        engine = NSGA2(evaluator, config, rng=SEED)
-        engine.step()
-        assert engine.generation == 1
-
-    def test_invalid_sampling_rejected(self):
-        with pytest.raises(OptimizationError):
-            NSGA2Config(population_size=4, order_sampling="shuffled")
 
 
 class TestStageTimings:

@@ -15,6 +15,7 @@ from repro.experiments.grid import (
 from repro.experiments.portfolio import run_portfolio
 from repro.experiments.repetitions import run_repetitions
 from repro.experiments.runner import run_seeded_populations
+from repro.obs.context import RunContext
 from repro.parallel.manifest import MANIFEST_NAME, GridManifest
 from repro.parallel.resultstore import ResultStore
 from repro.storage import atomic_write_json, read_json_artifact
@@ -268,6 +269,40 @@ class TestPortfolioGrid:
                 == expected
             )
         assert grid_status(grid_dir).complete
+
+    def test_resume_runs_the_rest_on_the_callers_pool(self, tmp_path):
+        """An interrupted 3-algorithm grid, resumed with ``workers=2``,
+        runs its two unfinished cells in a pool and matches a plain
+        serial run bit for bit."""
+        grid_dir = str(tmp_path / "grid")
+        algorithms = ["nsga2", "spea2", "moead"]
+        with pytest.raises(KeyboardInterrupt):
+            run_portfolio(
+                dataset1(), self.CFG, algorithms=algorithms,
+                exact_epsilon=None, grid_dir=grid_dir,
+                fault_hook=_interrupt_at_spea2,
+            )
+        assert grid_status(grid_dir).counts["done"] == 1
+        obs = RunContext.create()
+        resumed = resume_grid(grid_dir, workers=2, obs=obs)
+        assert obs.metrics.as_dict()["parallel_cells_total"]["value"] == 2
+        plain = run_portfolio(
+            dataset1(), self.CFG, algorithms=algorithms, exact_epsilon=None,
+        )
+        assert list(resumed.histories) == algorithms
+        for name in algorithms:
+            got, want = resumed.histories[name], plain.histories[name]
+            assert got.total_evaluations == want.total_evaluations
+            assert [s.front_points.tobytes() for s in got.snapshots] == [
+                s.front_points.tobytes() for s in want.snapshots
+            ]
+        assert grid_status(grid_dir).complete
+
+
+def _interrupt_at_spea2(name, attempt):
+    """Portfolio fault hook: the operator presses Ctrl-C at cell 2."""
+    if name == "spea2":
+        raise KeyboardInterrupt
 
 
 class TestDatasetBuilders:
