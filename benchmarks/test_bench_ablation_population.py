@@ -11,7 +11,8 @@ import numpy as np
 
 from repro.analysis.indicators import hypervolume
 from repro.analysis.report import format_table
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.sim.evaluator import ScheduleEvaluator
 
 from conftest import BENCH_SEED, write_output
@@ -24,7 +25,8 @@ def run_sweep(ds1):
     evaluator = ScheduleEvaluator(ds1.system, ds1.trace, check_feasibility=False)
     outcomes = {}
     for pop, gens in BUDGET_POINTS:
-        ga = NSGA2(evaluator, NSGA2Config(population_size=pop), rng=BENCH_SEED)
+        ga = NSGA2(evaluator, AlgorithmConfig(population_size=pop),
+                   rng=BENCH_SEED)
         hist = ga.run(gens)
         outcomes[(pop, gens)] = hist.final.front_points
     all_pts = np.vstack(list(outcomes.values()))

@@ -11,7 +11,8 @@ import numpy as np
 
 from repro.analysis.indicators import hypervolume
 from repro.analysis.report import format_table
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.core.operators import OperatorConfig
 from repro.sim.evaluator import ScheduleEvaluator
 
@@ -28,7 +29,7 @@ def run_strategy(ds1, selection: str) -> list[np.ndarray]:
     for r in range(REPETITIONS):
         ga = NSGA2(
             evaluator,
-            NSGA2Config(
+            AlgorithmConfig(
                 population_size=POP,
                 operators=OperatorConfig(parent_selection=selection),
             ),

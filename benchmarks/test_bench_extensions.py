@@ -10,7 +10,8 @@
 import numpy as np
 
 from repro.analysis.report import format_table
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.extensions.dropping import DroppingPolicy, apply_dropping
 from repro.extensions.dvfs import DVFS_PRESETS, make_dvfs_evaluator
 from repro.heuristics import MinEnergy, MinMinCompletionTime
@@ -53,7 +54,7 @@ def test_dvfs_extends_frontier(benchmark, ds1):
     def optimize():
         dvfs_ev = make_dvfs_evaluator(ds1.system, ds1.trace, DVFS_PRESETS)
         seed = MinEnergy().build(dvfs_ev.system, ds1.trace)
-        ga = NSGA2(dvfs_ev, NSGA2Config(population_size=40), seeds=[seed],
+        ga = NSGA2(dvfs_ev, AlgorithmConfig(population_size=40), seeds=[seed],
                    rng=BENCH_SEED)
         return ga.run(40)
 

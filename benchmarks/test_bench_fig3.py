@@ -10,7 +10,8 @@ against the paper's qualitative claims and written to
 ``benchmarks/output/figure3.txt``.
 """
 
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.sim.evaluator import ScheduleEvaluator
 
 from conftest import BENCH_SEED, FIG3_POP, write_output
@@ -26,7 +27,8 @@ def test_figure3_generation_cost(benchmark, ds1):
     """One generation (crossover + mutation + batch evaluation +
     environmental selection) at figure-3 scale."""
     evaluator = ScheduleEvaluator(ds1.system, ds1.trace, check_feasibility=False)
-    ga = NSGA2(evaluator, NSGA2Config(population_size=FIG3_POP), rng=BENCH_SEED)
+    ga = NSGA2(evaluator, AlgorithmConfig(population_size=FIG3_POP),
+               rng=BENCH_SEED)
     benchmark(ga.step)
 
 

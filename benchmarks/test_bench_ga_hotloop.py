@@ -8,8 +8,9 @@ steady state (its reuse rate climbs over the first ~30 generations, so
 it gets a longer warmup than the frozen baseline's protocol).
 
 The timed engine's fronts are asserted bit-identical to a replay on
-the O(N²) dominance-matrix machinery with queue-state caching off —
-every speedup must be free.  (Kernel ≡ scalar oracle is pinned in
+the O(N²) dominance-matrix selection (``ReferenceNSGA2`` from
+``tests/oracles.py``) with queue-state caching off — every speedup must
+be free.  (Kernel ≡ scalar oracle is pinned in
 ``tests/test_sim_batchkernel.py``.)  Results, with the CPU count they
 were measured on, are written to ``BENCH_ga_hotloop.json`` at the repo
 root next to a *frozen* pre-PR baseline (measured at commit bb55ed6,
@@ -33,6 +34,7 @@ stage budget — the zero-overhead-by-default contract of
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import platform
@@ -43,7 +45,8 @@ import numpy as np
 import pytest
 
 from conftest import BENCH_SEED, FIG3_POP
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.sim.evaluator import DEFAULT_CACHE_SIZE, ScheduleEvaluator
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -90,9 +93,21 @@ FROZEN_BASELINE = {
 MIN_SPEEDUP_BATCH = 2.3
 
 
-def build_engine(bundle, *, fast=True, cache_size=DEFAULT_CACHE_SIZE,
+def load_oracles():
+    """``tests/oracles.py``, loaded by path: ``benchmarks/`` has its own
+    ``conftest.py``, so ``tests/`` must not shadow it on ``sys.path``."""
+    spec = importlib.util.spec_from_file_location(
+        "oracles", REPO_ROOT / "tests" / "oracles.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def build_engine(bundle, *, reference=False, cache_size=DEFAULT_CACHE_SIZE,
                  obs=None):
-    """The production engine (*fast*) or the O(N²) reference machinery.
+    """The production engine, or (*reference*) the same engine on the
+    O(N²) reference selection of ``tests/oracles.py``.
 
     *cache_size* sizes the evaluator's queue-state table (``0`` folds
     every queue afresh); *obs* threads an observability context into
@@ -102,9 +117,10 @@ def build_engine(bundle, *, fast=True, cache_size=DEFAULT_CACHE_SIZE,
         bundle.system, bundle.trace, check_feasibility=False,
         cache_size=cache_size, obs=obs,
     )
-    config = NSGA2Config(population_size=FIG3_POP, fast_path=fast)
-    label = "hotloop" if fast else "hotloop-reference"
-    return NSGA2(evaluator, config, rng=BENCH_SEED, label=label, obs=obs)
+    config = AlgorithmConfig(population_size=FIG3_POP)
+    cls = load_oracles().ReferenceNSGA2 if reference else NSGA2
+    label = "hotloop-reference" if reference else "hotloop"
+    return cls(evaluator, config, rng=BENCH_SEED, label=label, obs=obs)
 
 
 def timed_steps(engine, steps):
@@ -206,11 +222,11 @@ def test_reference_machinery_replays_fronts_bit_identically(
 ):
     """The point of every optimization: same seed, same population and
     front, to the bit, after every warmup + timed generation — checked
-    against the O(N²) machinery with queue-state caching off, so
-    neither the engine's fast path nor the kernel's reuse may change a
-    result."""
+    against the O(N²) reference selection with queue-state caching
+    off, so neither the engine's rank machinery nor the kernel's reuse
+    may change a result."""
     _, engine = hotloop_report
-    check = build_engine(ds1, fast=False, cache_size=0)
+    check = build_engine(ds1, reference=True, cache_size=0)
     for _ in range(engine.generation):
         check.step()
     np.testing.assert_array_equal(

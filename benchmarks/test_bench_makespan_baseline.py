@@ -10,7 +10,8 @@ mediocre utility earner, and vice versa.
 import numpy as np
 
 from repro.analysis.report import format_table
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.heuristics import MinMinCompletionTime
 from repro.sim.evaluator import ScheduleEvaluator
 from repro.sim.makespan import MakespanEnergyEvaluator
@@ -27,9 +28,9 @@ def run_both(ds1):
     mk_ev = MakespanEnergyEvaluator(ds1.system, ds1.trace, bag_of_tasks=False)
     seeds = [MinMinCompletionTime().build(ds1.system, ds1.trace)]
 
-    util_hist = NSGA2(util_ev, NSGA2Config(population_size=POP),
+    util_hist = NSGA2(util_ev, AlgorithmConfig(population_size=POP),
                       seeds=seeds, rng=BENCH_SEED, label="utility").run(GENERATIONS)
-    mk_hist = NSGA2(mk_ev, NSGA2Config(population_size=POP),
+    mk_hist = NSGA2(mk_ev, AlgorithmConfig(population_size=POP),
                     seeds=seeds, rng=BENCH_SEED, label="makespan").run(GENERATIONS)
 
     # Champion of each run, cross-evaluated under the other's metric.

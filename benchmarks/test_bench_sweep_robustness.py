@@ -13,7 +13,8 @@
 import numpy as np
 
 from repro.analysis.report import format_table
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.extensions.robustness import (
     NoiseModel,
     RobustnessAnalyzer,
@@ -73,8 +74,8 @@ def test_a10_oversubscription_sweep(benchmark, ds1):
 def test_a11_front_robustness(benchmark, ds1):
     evaluator = ScheduleEvaluator(ds1.system, ds1.trace, check_feasibility=False)
     seed_alloc = MinMinCompletionTime().build(ds1.system, ds1.trace)
-    ga = NSGA2(evaluator, NSGA2Config(population_size=40), seeds=[seed_alloc],
-               rng=BENCH_SEED)
+    ga = NSGA2(evaluator, AlgorithmConfig(population_size=40),
+               seeds=[seed_alloc], rng=BENCH_SEED)
     hist = ga.run(60)
     analyzer = RobustnessAnalyzer(
         ds1.system, ds1.trace, noise=NoiseModel(sigma=0.2),

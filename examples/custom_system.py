@@ -17,7 +17,7 @@ Run:  python examples/custom_system.py
 
 import numpy as np
 
-from repro import NSGA2, NSGA2Config, ScheduleEvaluator, SystemModel
+from repro import NSGA2, AlgorithmConfig, ScheduleEvaluator, SystemModel
 from repro.analysis import ParetoFront, max_utility_per_energy_region
 from repro.analysis.report import format_front_summary
 from repro.core.sorting import domination_count_ranks, fast_nondominated_sort
@@ -80,7 +80,8 @@ def main() -> None:
 
     evaluator = ScheduleEvaluator(system, trace)
     seed = MaxUtilityPerEnergy().build(system, trace)
-    ga = NSGA2(evaluator, NSGA2Config(population_size=80), seeds=[seed], rng=3)
+    ga = NSGA2(evaluator, AlgorithmConfig(population_size=80), seeds=[seed],
+               rng=3)
     history = ga.run(generations=250)
 
     front = ParetoFront(points=history.final.front_points, label="render-farm")

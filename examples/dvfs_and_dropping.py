@@ -13,7 +13,7 @@ Run:  python examples/dvfs_and_dropping.py
 
 import numpy as np
 
-from repro import dataset1, NSGA2, NSGA2Config, ScheduleEvaluator
+from repro import dataset1, NSGA2, AlgorithmConfig, ScheduleEvaluator
 from repro.analysis import ParetoFront
 from repro.analysis.report import ascii_scatter, format_table
 from repro.extensions.dropping import DroppingPolicy, apply_dropping
@@ -57,14 +57,14 @@ def demo_dvfs(bundle) -> None:
     plain_ev = ScheduleEvaluator(bundle.system, bundle.trace,
                                  check_feasibility=False)
     plain_seed = MinEnergy().build(bundle.system, bundle.trace)
-    plain_ga = NSGA2(plain_ev, NSGA2Config(population_size=60),
+    plain_ga = NSGA2(plain_ev, AlgorithmConfig(population_size=60),
                      seeds=[plain_seed], rng=1, label="plain")
     plain_front = ParetoFront(points=plain_ga.run(150).final.front_points,
                               label="plain")
 
     dvfs_ev = make_dvfs_evaluator(bundle.system, bundle.trace, DVFS_PRESETS)
     dvfs_seed = MinEnergy().build(dvfs_ev.system, bundle.trace)
-    dvfs_ga = NSGA2(dvfs_ev, NSGA2Config(population_size=60),
+    dvfs_ga = NSGA2(dvfs_ev, AlgorithmConfig(population_size=60),
                     seeds=[dvfs_seed], rng=1, label="dvfs")
     dvfs_front = ParetoFront(points=dvfs_ga.run(150).final.front_points,
                              label="dvfs")

@@ -18,7 +18,7 @@ that:
 Run:  python examples/online_dispatch.py
 """
 
-from repro import dataset1, NSGA2, NSGA2Config, ScheduleEvaluator
+from repro import dataset1, NSGA2, AlgorithmConfig, ScheduleEvaluator
 from repro.analysis import ParetoFront
 from repro.analysis.report import ascii_scatter, format_table
 from repro.extensions.online import (
@@ -37,7 +37,8 @@ def main() -> None:
 
     # --- Offline stage: the paper's analysis framework. ---
     seed = MaxUtilityPerEnergy().build(bundle.system, bundle.trace)
-    ga = NSGA2(evaluator, NSGA2Config(population_size=80), seeds=[seed], rng=31)
+    ga = NSGA2(evaluator, AlgorithmConfig(population_size=80), seeds=[seed],
+               rng=31)
     history = ga.run(generations=250)
     front = ParetoFront(points=history.final.front_points, label="offline front")
     budget = budget_from_front(front)

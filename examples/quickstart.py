@@ -10,7 +10,7 @@ target.
 Run:  python examples/quickstart.py
 """
 
-from repro import dataset1, NSGA2, NSGA2Config, ScheduleEvaluator
+from repro import dataset1, NSGA2, AlgorithmConfig, ScheduleEvaluator
 from repro.analysis import ParetoFront, max_utility_per_energy_region
 from repro.analysis.report import ascii_scatter, format_front
 from repro.heuristics import MinMinCompletionTime
@@ -33,7 +33,7 @@ def main() -> None:
 
     ga = NSGA2(
         evaluator,
-        NSGA2Config(population_size=100),
+        AlgorithmConfig(population_size=100),
         seeds=[seed_alloc],
         rng=7,
         label="min-min seeded",

@@ -16,7 +16,7 @@ Run:  python examples/robustness_and_statistics.py
 
 import numpy as np
 
-from repro import dataset1, NSGA2, NSGA2Config, ScheduleEvaluator
+from repro import dataset1, NSGA2, AlgorithmConfig, ScheduleEvaluator
 from repro.analysis.report import ascii_scatter, format_table
 from repro.experiments.repetitions import run_repetitions
 from repro.extensions.robustness import (
@@ -57,7 +57,8 @@ def demo_robustness(bundle) -> None:
     evaluator = ScheduleEvaluator(bundle.system, bundle.trace)
     seed_alloc = MinMinCompletionTime().build(bundle.system, bundle.trace)
     ga = NSGA2(
-        evaluator, NSGA2Config(population_size=50), seeds=[seed_alloc], rng=23
+        evaluator, AlgorithmConfig(population_size=50), seeds=[seed_alloc],
+        rng=23,
     )
     history = ga.run(generations=100)
 

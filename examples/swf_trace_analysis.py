@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import dataset1, NSGA2, NSGA2Config, ScheduleEvaluator
+from repro import dataset1, NSGA2, AlgorithmConfig, ScheduleEvaluator
 from repro.analysis import ParetoFront
 from repro.analysis.report import format_front
 from repro.heuristics import MinMinCompletionTime
@@ -74,7 +74,8 @@ def main(swf_path: str | None = None) -> None:
     evaluator = ScheduleEvaluator(bundle.system, trace)
     seed_alloc = MinMinCompletionTime().build(bundle.system, trace)
     ga = NSGA2(
-        evaluator, NSGA2Config(population_size=60), seeds=[seed_alloc], rng=17
+        evaluator, AlgorithmConfig(population_size=60), seeds=[seed_alloc],
+        rng=17,
     )
     history = ga.run(generations=120)
     front = ParetoFront(points=history.final.front_points, label="swf-trace")

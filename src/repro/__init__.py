@@ -56,7 +56,6 @@ __all__ = [
     "AlgorithmConfig",
     "EvolutionaryAlgorithm",
     "NSGA2",
-    "NSGA2Config",
     "SPEA2",
     "MOEAD",
     "EpsilonArchiveNSGA2",
@@ -105,7 +104,7 @@ __getattr__, __dir__ = _lazy.exports(globals(), {
     ".analysis.pareto_front": ("ParetoFront",),
     ".analysis.indicators": ("hypervolume",),
     ".core.registry": ("ALGORITHMS", "available_algorithms", "make_algorithm"),
-    ".core.nsga2": ("NSGA2", "EpsilonArchiveNSGA2", "NSGA2Config"),
+    ".core.nsga2": ("NSGA2", "EpsilonArchiveNSGA2"),
     ".core.moead": ("MOEAD",),
     ".core.spea2": ("SPEA2",),
     ".core.algorithm": (

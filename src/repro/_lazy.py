@@ -4,7 +4,7 @@ A package ``__init__`` lists its public names by defining module and
 installs the pair this module returns::
 
     __getattr__, __dir__ = _lazy.exports(globals(), {
-        ".nsga2": ("NSGA2", "NSGA2Config"),
+        ".nsga2": ("NSGA2", "EpsilonArchiveNSGA2"),
     })
 
 ``from repro.core import NSGA2`` then imports ``repro.core.nsga2`` (and

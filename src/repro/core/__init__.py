@@ -29,7 +29,6 @@ __all__ = [
     "AlgorithmConfig",
     "EvolutionaryAlgorithm",
     "NSGA2",
-    "NSGA2Config",
     "SPEA2",
     "spea2_fitness",
     "MOEAD",
@@ -71,7 +70,7 @@ __getattr__, __dir__ = _lazy.exports(globals(), {
     ".crowding": ("crowding_by_front", "crowding_distance"),
     ".dominance": ("dominates", "nondominated_mask", "pareto_filter"),
     ".moead": ("MOEAD",),
-    ".nsga2": ("NSGA2", "EpsilonArchiveNSGA2", "NSGA2Config"),
+    ".nsga2": ("NSGA2", "EpsilonArchiveNSGA2"),
     ".objectives": ("BiObjectiveSpace", "ObjectiveSense"),
     ".operators": ("OperatorConfig", "VariationOperators"),
     ".population": ("Population",),

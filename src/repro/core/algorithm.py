@@ -66,11 +66,9 @@ __all__ = [
 class AlgorithmConfig:
     """Parameters shared by every population-based algorithm.
 
-    Replaces the old ``NSGA2Config`` (kept as a deprecation shim in
-    :mod:`repro.core.nsga2`) and absorbs the driver-level
-    ``mutation_probability`` knob that used to be duplicated between
-    engine and experiment configs.  Keyword-only: every field must be
-    named at the call site.
+    Absorbs the driver-level ``mutation_probability`` knob that used to
+    be duplicated between engine and experiment configs.  Keyword-only:
+    every field must be named at the call site.
 
     Attributes
     ----------
@@ -93,14 +91,6 @@ class AlgorithmConfig:
         Keep the chromosomes (not just objective points) of each
         checkpoint front.  Off by default to bound memory for long
         runs; the final front's chromosomes are always kept.
-    fast_path:
-        Use the O(N log N) bi-objective machinery: sweep nondominated
-        sorting, vectorized environmental selection, and one shared
-        ranks computation per generation (tournament selection reuses
-        the ranks derived during the previous environmental selection).
-        ``False`` runs the O(N²) dominance-matrix reference path; both
-        produce bit-identical fronts for the same seed, asserted by
-        ``tests/test_core_nsga2_fastpath.py``.
     """
 
     population_size: int = 100
@@ -108,7 +98,6 @@ class AlgorithmConfig:
     operators: OperatorConfig = field(default_factory=OperatorConfig)
     mutation_probability: Optional[float] = None
     store_front_solutions: bool = False
-    fast_path: bool = True
 
     def __post_init__(self) -> None:
         if self.population_size < 2:

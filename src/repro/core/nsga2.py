@@ -32,7 +32,6 @@ artifacts by ``tests/test_core_algorithm.py``).
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Optional
 
 import numpy as np
@@ -47,45 +46,18 @@ from repro.core.algorithm import (
 from repro.core.archive import EpsilonParetoArchive
 from repro.core.crowding import crowding_by_front, crowding_truncate
 from repro.core.dominance import nondominated_mask
-from repro.core.operators import OperatorConfig, binary_tournament_pairs
+from repro.core.operators import binary_tournament_pairs
 from repro.core.population import Population
-from repro.core.sorting import fast_nondominated_sort, fronts_from_ranks
+from repro.core.sorting import fast_nondominated_sort
 from repro.types import FloatArray, IntArray
 
 __all__ = [
-    "NSGA2Config",
     "AlgorithmConfig",
     "GenerationSnapshot",
     "RunHistory",
     "NSGA2",
     "EpsilonArchiveNSGA2",
 ]
-
-
-def NSGA2Config(
-    population_size: int = 100,
-    operators: Optional[OperatorConfig] = None,
-    store_front_solutions: bool = False,
-    fast_path: bool = True,
-) -> AlgorithmConfig:
-    """Deprecated alias for :class:`~repro.core.algorithm.AlgorithmConfig`.
-
-    Kept (positional-argument compatible) so pre-redesign scripts keep
-    running; new code should construct ``AlgorithmConfig`` directly
-    with keyword arguments.
-    """
-    warnings.warn(
-        "NSGA2Config is deprecated; use "
-        "repro.core.AlgorithmConfig(population_size=..., ...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return AlgorithmConfig(
-        population_size=population_size,
-        operators=operators if operators is not None else OperatorConfig(),
-        store_front_solutions=store_front_solutions,
-        fast_path=fast_path,
-    )
 
 
 class NSGA2(EvolutionaryAlgorithm):
@@ -105,8 +77,8 @@ class NSGA2(EvolutionaryAlgorithm):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         #: Cached front ranks of the current parent population, carried
-        #: over from the last environmental selection (fast path only);
-        #: ``None`` forces a fresh sort (initial population, resume).
+        #: over from the last environmental selection; ``None`` forces a
+        #: fresh sort (initial population, resume).
         self._ranks: Optional[IntArray] = None
 
     # -- hooks -----------------------------------------------------------------
@@ -114,21 +86,16 @@ class NSGA2(EvolutionaryAlgorithm):
     def _parent_ranks(self) -> IntArray:
         """Front ranks of the current parent population.
 
-        On the fast path the ranks computed during the previous
-        environmental selection are reused: the selected subset keeps
-        complete fronts 1..k plus part of front k+1, and every retained
-        point keeps all its dominators from lower fronts, so the
-        restriction of the meta-population ranks *is* the parent
-        population's front-peeling ranks.
+        The ranks computed during the previous environmental selection
+        are reused: the selected subset keeps complete fronts 1..k plus
+        part of front k+1, and every retained point keeps all its
+        dominators from lower fronts, so the restriction of the
+        meta-population ranks *is* the parent population's
+        front-peeling ranks.
         """
-        if self.config.fast_path and self._ranks is not None:
-            if self._ranks.shape[0] == self.population.size:
-                return self._ranks
-        method = "auto" if self.config.fast_path else "matrix"
-        ranks = fast_nondominated_sort(self.population.objectives, method=method)
-        if self.config.fast_path:
-            self._ranks = ranks
-        return ranks
+        if self._ranks is None or self._ranks.shape[0] != self.population.size:
+            self._ranks = fast_nondominated_sort(self.population.objectives)
+        return self._ranks
 
     def _mating_selection(self, parents: Population) -> Optional[IntArray]:
         if self.config.operators.parent_selection != "tournament":
@@ -157,42 +124,22 @@ class NSGA2(EvolutionaryAlgorithm):
     def _environmental_selection(self, meta: Population) -> Population:
         """Pick the best N of the meta-population (steps 7-10).
 
-        Both paths return the same rows in the same order: complete
-        fronts in rank order (index-ascending within a front) followed
-        by the crowding-truncated boundary front.  The fast path also
-        caches the survivors' ranks for the next generation's
+        Complete fronts in rank order (index-ascending within a front)
+        followed by the crowding-truncated boundary front; the
+        survivors' ranks are cached for the next generation's
         tournament.
         """
         N = self.config.population_size
-        if self.config.fast_path:
-            ranks = fast_nondominated_sort(meta.objectives)
-            # (rank, index)-ordered positions; the N-th one pins the
-            # boundary front r*: fronts < r* fit completely.
-            order = np.argsort(ranks, kind="stable")
-            r_star = int(ranks[order[N - 1]])
-            n_full = int(np.count_nonzero(ranks < r_star))
-            boundary = np.flatnonzero(ranks == r_star)
-            subset = crowding_truncate(meta.objectives[boundary], N - n_full)
-            indices = np.concatenate([order[:n_full], boundary[subset]])
-            self._ranks = ranks[indices]
-            return meta.select(indices)
-        ranks = fast_nondominated_sort(meta.objectives, method="matrix")
-        selected: list[np.ndarray] = []
-        count = 0
-        for front in fronts_from_ranks(ranks):
-            if count + front.size <= N:
-                selected.append(front)
-                count += front.size
-                if count == N:
-                    break
-            else:
-                keep = N - count
-                subset = crowding_truncate(meta.objectives[front], keep)
-                selected.append(front[subset])
-                count = N
-                break
-        indices = np.concatenate(selected)
-        self._ranks = None
+        ranks = fast_nondominated_sort(meta.objectives)
+        # (rank, index)-ordered positions; the N-th one pins the
+        # boundary front r*: fronts < r* fit completely.
+        order = np.argsort(ranks, kind="stable")
+        r_star = int(ranks[order[N - 1]])
+        n_full = int(np.count_nonzero(ranks < r_star))
+        boundary = np.flatnonzero(ranks == r_star)
+        subset = crowding_truncate(meta.objectives[boundary], N - n_full)
+        indices = np.concatenate([order[:n_full], boundary[subset]])
+        self._ranks = ranks[indices]
         return meta.select(indices)
 
 

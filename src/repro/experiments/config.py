@@ -156,8 +156,8 @@ class ExperimentConfig:
     def algorithm_config(self):
         """The engine-level config this experiment config implies.
 
-        Collapses the knobs previously duplicated between
-        ``NSGA2Config`` and driver kwargs into one
+        Collapses the knobs previously duplicated between the engine
+        config and driver kwargs into one
         :class:`~repro.core.algorithm.AlgorithmConfig`.
         """
         from repro.core.algorithm import AlgorithmConfig

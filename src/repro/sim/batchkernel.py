@@ -1,4 +1,4 @@
-"""The queue fold, the population-at-once kernel built on it, and its oracle.
+"""The queue fold and the population-at-once kernel built on it.
 
 Semantics (paper Section IV): tasks queue on their assigned machine in
 ascending ``(order key, task index)`` order; a task starts at
@@ -23,8 +23,8 @@ the batch — which is what makes cached queue states exact: results are
 bit-identical with the cache on, off, across checkpoint resume, and
 across serial/parallel execution.  A seed column lets a caller continue
 the folds from a known queue prefix (the online service's committed
-queues).  :func:`batch_reference_row` restates the same folds as scalar
-Python loops; it is the exactness oracle, called from the tests.
+queues).  ``tests/oracles.py`` restates the same folds as scalar Python
+loops; it is the exactness oracle the tests compare against.
 
 Queue-state reuse
 -----------------
@@ -55,7 +55,6 @@ __all__ = [
     "QueueFolds",
     "QueueStateTable",
     "SortScratch",
-    "batch_reference_row",
     "fold_queues",
     "queue_order",
     "row_totals",
@@ -683,55 +682,3 @@ class BatchQueueKernel:
         utilities, energies = row_totals(ue.reshape(2, N, Mq))
         finish = fq.reshape(N, Mq).max(axis=1) if want_finish else None
         return energies, utilities, finish
-
-
-def batch_reference_row(
-    ev, assignment: np.ndarray, order: np.ndarray
-) -> tuple[float, float, np.ndarray]:
-    """Scalar oracle for the batch kernel's exact fold semantics.
-
-    Returns ``(energy, utility, per-task finish times)`` for one
-    chromosome, computing every queue with plain Python left folds.
-    The TUF table is evaluated through the same vectorized
-    :meth:`~repro.utility.vectorized.TUFTable.evaluate` — it is
-    elementwise, so composition cannot change its values — keeping the
-    oracle honest about the recurrence while staying usable in tests.
-    """
-    T = ev.num_tasks
-    qg = ev._queue_groups
-    queues: dict[int, list[tuple[int, int]]] = {}
-    for t in range(T):
-        queues.setdefault(int(qg[assignment[t]]), []).append(
-            (int(order[t]), t)
-        )
-    finish = np.empty(T, dtype=np.float64)
-    for items in queues.values():
-        items.sort()
-        cs = 0.0
-        rm = -np.inf
-        for o, t in items:
-            m = int(assignment[t])
-            e = float(ev._etc_flat[t * ev.num_machines + m])
-            a = float(ev._arrivals[t])
-            cs_prev = cs
-            cs = cs + e
-            key = a - cs_prev
-            rm = max(rm, key)
-            finish[t] = rm + cs
-    elapsed = finish - ev._arrivals
-    task_u = ev._tuf_table.evaluate(ev._task_types, elapsed)
-    utility = 0.0
-    energy = 0.0
-    for qid in range(ev._num_queues):
-        items = queues.get(qid)
-        if not items:
-            continue
-        u_q = 0.0
-        e_q = 0.0
-        for o, t in items:
-            m = int(assignment[t])
-            u_q = u_q + float(task_u[t])
-            e_q = e_q + float(ev._eec_flat[t * ev.num_machines + m])
-        utility = utility + u_q
-        energy = energy + e_q
-    return energy, utility, finish

@@ -19,7 +19,6 @@ import pytest
 
 from repro.experiments.datasets import dataset1, dataset2
 from repro.model.system import SystemModel
-from repro.sim.batchkernel import batch_reference_row
 from repro.sim.evaluator import ScheduleEvaluator
 from repro.sim.schedule import ResourceAllocation
 from repro.utility.intervals import DecayShape, UtilityClass, UtilityInterval
@@ -105,21 +104,6 @@ def small_trace() -> Trace:
 def small_evaluator(small_system, small_trace) -> ScheduleEvaluator:
     """Evaluator over the small fixtures."""
     return ScheduleEvaluator(small_system, small_trace)
-
-
-class OracleEvaluator(ScheduleEvaluator):
-    """An evaluator that answers ``evaluate_batch`` row by row from the
-    scalar oracle :func:`~repro.sim.batchkernel.batch_reference_row`.
-
-    Engines run on it exactly as on the production evaluator, so a
-    front computed on both must agree bit for bit.
-    """
-
-    def evaluate_batch(self, assignments, orders):
-        rows = [batch_reference_row(self, a, o)
-                for a, o in zip(np.asarray(assignments), np.asarray(orders))]
-        return (np.array([r[0] for r in rows], dtype=np.float64),
-                np.array([r[1] for r in rows], dtype=np.float64))
 
 
 @pytest.fixture

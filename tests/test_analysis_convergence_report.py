@@ -15,15 +15,16 @@ from repro.analysis.report import (
     format_front_summary,
     format_table,
 )
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.errors import AnalysisError
 
 
 @pytest.fixture
 def two_histories(small_evaluator):
-    h1 = NSGA2(small_evaluator, NSGA2Config(population_size=16), rng=1,
+    h1 = NSGA2(small_evaluator, AlgorithmConfig(population_size=16), rng=1,
                label="a").run(10, checkpoints=[5, 10])
-    h2 = NSGA2(small_evaluator, NSGA2Config(population_size=16), rng=2,
+    h2 = NSGA2(small_evaluator, AlgorithmConfig(population_size=16), rng=2,
                label="b").run(10, checkpoints=[5, 10])
     return [h1, h2]
 

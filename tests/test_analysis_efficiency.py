@@ -76,9 +76,10 @@ class TestDiminishingReturns:
                                     small_evaluator):
         """On a real optimized front the peak lies strictly inside the
         energy range whenever the front is non-trivial."""
-        from repro.core.nsga2 import NSGA2, NSGA2Config
+        from repro.core.algorithm import AlgorithmConfig
+        from repro.core.nsga2 import NSGA2
 
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=24), rng=5)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=24), rng=5)
         hist = ga.run(30)
         front = ParetoFront(points=hist.final.front_points)
         region = max_utility_per_energy_region(front)
@@ -109,9 +110,10 @@ class TestKneePoint:
     def test_knee_index_in_range(self, small_system, small_trace,
                                  small_evaluator):
         from repro.analysis.efficiency import knee_point
-        from repro.core.nsga2 import NSGA2, NSGA2Config
+        from repro.core.algorithm import AlgorithmConfig
+        from repro.core.nsga2 import NSGA2
 
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=20), rng=6)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=20), rng=6)
         front = ParetoFront(points=ga.run(25).final.front_points)
         k = knee_point(front)
         assert 0 <= k < front.size

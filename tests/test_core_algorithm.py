@@ -13,19 +13,21 @@ Acceptance gates of the portfolio redesign:
   ``offspring_size=N`` reproduces the generational run exactly;
 * the registry resolves names and rejects unknown ones through
   :class:`~repro.errors.AlgorithmLookupError`;
-* the old ``NSGA2Config`` entry point survives as a deprecation shim.
+* the removed ``NSGA2Config`` entry point and ``fast_path`` switch stay
+  removed.
 """
 
+import dataclasses
+import importlib
 import json
 import shutil
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.algorithm import AlgorithmConfig, EvolutionaryAlgorithm
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.nsga2 import NSGA2
 from repro.core.operators import OperatorConfig
 from repro.core.registry import ALGORITHMS, available_algorithms, make_algorithm
 from repro.errors import AlgorithmLookupError, OptimizationError
@@ -214,20 +216,25 @@ class TestAlgorithmConfig:
             AlgorithmConfig(population_size=10, offspring_size=0)
 
 
-class TestNSGA2ConfigShim:
-    def test_warns_and_builds_algorithm_config(self):
-        with pytest.warns(DeprecationWarning):
-            config = NSGA2Config(population_size=14)
-        assert isinstance(config, AlgorithmConfig)
-        assert config.population_size == 14
+class TestRemovedNames:
+    """The deprecated config entry point and the scalar fold oracle are
+    gone from the package; the oracles live in ``tests/oracles.py``."""
 
-    def test_shim_config_drives_the_engine(self, small_evaluator):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            config = NSGA2Config(population_size=8)
-        ga = NSGA2(small_evaluator, config, rng=1)
-        ga.step()
-        assert ga.population.size == 8
+    @pytest.mark.parametrize("module, name", [
+        ("repro", "NSGA2Config"),
+        ("repro.core", "NSGA2Config"),
+        ("repro.core.nsga2", "NSGA2Config"),
+        ("repro.sim.batchkernel", "batch_reference_row"),
+    ])
+    def test_name_is_gone(self, module, name):
+        with pytest.raises(AttributeError):
+            getattr(importlib.import_module(module), name)
+
+    def test_config_has_no_fast_path_switch(self):
+        assert [f.name for f in dataclasses.fields(AlgorithmConfig)] == [
+            "population_size", "offspring_size", "operators",
+            "mutation_probability", "store_front_solutions",
+        ]
 
 
 class TestTemplateHooks:

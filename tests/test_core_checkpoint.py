@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import CheckpointStore, EngineState, capture_state, restore_state
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.errors import CheckpointError, CorruptArtifactError, OptimizationError
 from repro.sim.evaluator import ScheduleEvaluator
 from repro.testing.faults import FaultPlan, InjectedFault, corrupt_artifact
@@ -25,7 +26,7 @@ def make_engine(system, trace, seed=11, pop=12, fault_hook=None, label="ckpt"):
         system, trace, check_feasibility=False, fault_hook=fault_hook
     )
     return NSGA2(
-        evaluator, NSGA2Config(population_size=pop), rng=seed, label=label
+        evaluator, AlgorithmConfig(population_size=pop), rng=seed, label=label
     )
 
 

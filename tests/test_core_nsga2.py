@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.dominance import nondominated_mask
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.core.operators import OperatorConfig
 from repro.errors import OptimizationError
 from repro.heuristics import MinEnergy, MinMinCompletionTime
@@ -13,7 +14,7 @@ from repro.heuristics import MinEnergy, MinMinCompletionTime
 def make_engine(evaluator, seeds=(), rng=0, pop=20):
     return NSGA2(
         evaluator,
-        NSGA2Config(population_size=pop,
+        AlgorithmConfig(population_size=pop,
                     operators=OperatorConfig(mutation_probability=0.5)),
         seeds=list(seeds),
         rng=rng,
@@ -23,7 +24,7 @@ def make_engine(evaluator, seeds=(), rng=0, pop=20):
 class TestConfig:
     def test_population_size_validation(self):
         with pytest.raises(OptimizationError):
-            NSGA2Config(population_size=1)
+            AlgorithmConfig(population_size=1)
 
 
 class TestEngine:

@@ -1,18 +1,23 @@
-"""Fast-path NSGA-II: bit-identical fronts, shared ranks, order sampling.
+"""Production NSGA-II against the reference selection: bit-identical fronts.
 
-``NSGA2Config(fast_path=True)`` swaps the O(N²) dominance-matrix
-machinery for the O(N log N) sweep and reuses one ranks computation
-per generation.  The whole point is that this is *only* a speedup:
-every front, snapshot, and checkpoint must be bit-identical to the
-reference path for the same seed, with the evaluation cache on or
-off, through kill-and-resume, under both parent-selection modes.
+The engine ranks with the O(N log N) sweep, fills the next population
+with one stable argsort, and carries the survivors' ranks into the next
+generation's tournament.  ``oracles.ReferenceSelection`` does the same
+job the obvious way: the O(N²) dominance-matrix sort, fronts filled one
+by one, no rank cache.  The production path is *only* a speedup: every
+front, snapshot and checkpoint must be bit-identical to the reference
+for the same seed, for every NSGA-II composition (generational,
+steady-state, ε-archive), with the evaluation cache on or off, through
+kill-and-resume, under both parent-selection modes.
 """
 
 import numpy as np
 import pytest
 
+from oracles import ReferenceEpsArchive, ReferenceNSGA2
+from repro.core.algorithm import AlgorithmConfig
 from repro.core.crowding import crowding_by_front
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.nsga2 import NSGA2, EpsilonArchiveNSGA2
 from repro.core.operators import OperatorConfig
 from repro.core.sorting import fast_nondominated_sort
 from repro.sim.evaluator import ScheduleEvaluator
@@ -23,17 +28,28 @@ CPS = [2, 5, 8]
 SEED = 17
 POP = 16
 
+#: name -> (production class, reference class, offspring_size,
+#: generations, checkpoints).  Steady state makes one child per
+#: generation, so it runs longer to cover as many evaluations.
+COMPOSITIONS = {
+    "nsga2": (NSGA2, ReferenceNSGA2, None, GENS, CPS),
+    "nsga2-ss": (NSGA2, ReferenceNSGA2, 1, 8 * GENS, [16, 40, 64]),
+    "eps-archive": (EpsilonArchiveNSGA2, ReferenceEpsArchive, None, GENS, CPS),
+}
+
 
 def make_engine(
     system,
     trace,
-    fast_path=True,
+    composition="nsga2",
+    reference=False,
     cache_size=1000,
     parent_selection="uniform",
     seed=SEED,
     fault_hook=None,
     label="fastpath",
 ):
+    production, oracle, offspring_size, _, _ = COMPOSITIONS[composition]
     evaluator = ScheduleEvaluator(
         system,
         trace,
@@ -41,12 +57,13 @@ def make_engine(
         cache_size=cache_size,
         fault_hook=fault_hook,
     )
-    config = NSGA2Config(
+    config = AlgorithmConfig(
         population_size=POP,
-        fast_path=fast_path,
+        offspring_size=offspring_size,
         operators=OperatorConfig(parent_selection=parent_selection),
     )
-    return NSGA2(evaluator, config, rng=seed, label=label)
+    cls = oracle if reference else production
+    return cls(evaluator, config, rng=seed, label=label)
 
 
 def assert_identical_histories(a, b):
@@ -61,16 +78,19 @@ def assert_identical_histories(a, b):
 
 class TestBitIdenticalFronts:
     @pytest.mark.parametrize("parent_selection", ["uniform", "tournament"])
-    def test_fast_vs_reference_path(self, small_system, small_trace,
-                                    parent_selection):
+    @pytest.mark.parametrize("composition", sorted(COMPOSITIONS))
+    def test_fast_vs_reference_path(
+        self, small_system, small_trace, composition, parent_selection
+    ):
+        *_, gens, cps = COMPOSITIONS[composition]
         fast = make_engine(
-            small_system, small_trace, fast_path=True,
+            small_system, small_trace, composition,
             parent_selection=parent_selection,
-        ).run(GENS, CPS)
+        ).run(gens, cps)
         slow = make_engine(
-            small_system, small_trace, fast_path=False,
+            small_system, small_trace, composition, reference=True,
             parent_selection=parent_selection,
-        ).run(GENS, CPS)
+        ).run(gens, cps)
         assert_identical_histories(fast, slow)
 
     @pytest.mark.parametrize("parent_selection", ["uniform", "tournament"])
@@ -90,8 +110,8 @@ class TestBitIdenticalFronts:
     ):
         """Stronger than front equality: the full population (points and
         chromosomes) matches step by step."""
-        fast = make_engine(small_system, small_trace, fast_path=True)
-        slow = make_engine(small_system, small_trace, fast_path=False,
+        fast = make_engine(small_system, small_trace)
+        slow = make_engine(small_system, small_trace, reference=True,
                            cache_size=0)
         for _ in range(GENS):
             fast.step()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.core.operators import OperatorConfig, binary_tournament_pairs
 from repro.errors import OptimizationError
 
@@ -59,7 +60,7 @@ class TestEngineIntegration:
     def test_tournament_engine_runs(self, small_evaluator):
         ga = NSGA2(
             small_evaluator,
-            NSGA2Config(
+            AlgorithmConfig(
                 population_size=16,
                 operators=OperatorConfig(parent_selection="tournament"),
             ),
@@ -73,7 +74,7 @@ class TestEngineIntegration:
         def run(selection):
             ga = NSGA2(
                 small_evaluator,
-                NSGA2Config(
+                AlgorithmConfig(
                     population_size=16,
                     operators=OperatorConfig(parent_selection=selection),
                 ),

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.nsga2 import NSGA2, NSGA2Config, GenerationSnapshot
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2, GenerationSnapshot
 
 
 @pytest.fixture
 def history(small_evaluator):
-    ga = NSGA2(small_evaluator, NSGA2Config(population_size=14), rng=77)
+    ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=14), rng=77)
     return ga.run(6, checkpoints=[3, 6])
 
 
@@ -45,7 +46,7 @@ class TestSnapshotAccessors:
     def test_store_front_solutions_flag(self, small_evaluator):
         ga = NSGA2(
             small_evaluator,
-            NSGA2Config(population_size=14, store_front_solutions=True),
+            AlgorithmConfig(population_size=14, store_front_solutions=True),
             rng=78,
         )
         hist = ga.run(4, checkpoints=[2, 4])

@@ -7,7 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.core.telemetry import (
     GenerationStats,
     StageTimings,
@@ -22,7 +23,7 @@ from repro.experiments.runner import run_seeded_populations
 
 class TestTelemetry:
     def test_records_every_generation(self, small_evaluator):
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=12), rng=1)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=12), rng=1)
         pts, _ = ga.current_front()
         recorder = TelemetryRecorder(reference=(pts[:, 0].max() * 10, 0.0))
         ga.run(8, progress=recorder)
@@ -31,7 +32,7 @@ class TestTelemetry:
         assert recorder.rows[-1].generation == 8
 
     def test_sampling_interval(self, small_evaluator):
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=12), rng=2)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=12), rng=2)
         pts, _ = ga.current_front()
         recorder = TelemetryRecorder(reference=(pts[:, 0].max() * 10, 0.0),
                                      every=3)
@@ -39,7 +40,7 @@ class TestTelemetry:
         assert [r.generation for r in recorder.rows] == [3, 6, 9]
 
     def test_hypervolume_series_nondecreasing(self, small_evaluator):
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=12), rng=3)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=12), rng=3)
         pts, _ = ga.current_front()
         recorder = TelemetryRecorder(reference=(pts[:, 0].max() * 10, 0.0))
         ga.run(15, progress=recorder)
@@ -47,7 +48,7 @@ class TestTelemetry:
         assert np.all(np.diff(hv) >= -1e-9)
 
     def test_series_unknown_field(self, small_evaluator):
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=12), rng=4)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=12), rng=4)
         pts, _ = ga.current_front()
         recorder = TelemetryRecorder(reference=(pts[:, 0].max() * 10, 0.0))
         ga.run(2, progress=recorder)
@@ -57,7 +58,7 @@ class TestTelemetry:
             TelemetryRecorder(reference=(1.0, 0.0)).series("hypervolume")
 
     def test_csv_export(self, small_evaluator, tmp_path):
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=12), rng=5)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=12), rng=5)
         pts, _ = ga.current_front()
         recorder = TelemetryRecorder(reference=(pts[:, 0].max() * 10, 0.0))
         ga.run(4, progress=recorder)
@@ -68,7 +69,7 @@ class TestTelemetry:
         assert len(rows) == 5
 
     def test_compose(self, small_evaluator):
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=12), rng=6)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=12), rng=6)
         pts, _ = ga.current_front()
         a = TelemetryRecorder(reference=(pts[:, 0].max() * 10, 0.0))
         seen = []
@@ -104,7 +105,7 @@ class TestTelemetry:
         recorder = TelemetryRecorder(reference=(1e12, 0.0))
         anchor = recorder.started_at
         assert anchor <= time.perf_counter()
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=12), rng=7)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=12), rng=7)
         ga.run(2, progress=recorder)
         assert recorder.started_at == anchor  # never re-anchored
         assert all(r.seconds_since_start > 0.0 for r in recorder.rows)
@@ -112,7 +113,7 @@ class TestTelemetry:
     def test_explicit_start_survives_resume(self, small_evaluator):
         """A recorder rebuilt with the original epoch keeps one clock:
         its samples continue strictly after the pre-resume samples."""
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=12), rng=8)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=12), rng=8)
         first = TelemetryRecorder(reference=(1e12, 0.0))
         ga.run(2, progress=first)
         resumed = TelemetryRecorder(
@@ -146,7 +147,7 @@ class TestTelemetry:
         def never(gen, eng):  # pragma: no cover - must not run
             calls.append(("never", gen))
 
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=12), rng=9)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=12), rng=9)
         with pytest.raises(RuntimeError, match="telemetry sink exploded"):
             ga.run(3, progress=compose(first, boom, never))
         assert calls == [("first", 1)]

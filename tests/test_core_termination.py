@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.core.termination import (
     AnyOf,
     HypervolumeStagnation,
@@ -102,25 +103,25 @@ class TestStagnation:
 
 class TestRunUntil:
     def test_stops_at_generation_budget(self, small_evaluator):
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=12), rng=0)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=12), rng=0)
         hist = ga.run_until(MaxGenerations(7))
         assert hist.total_generations == 7
         assert hist.final.front_assignments is not None
 
     def test_stops_at_evaluation_budget(self, small_evaluator):
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=10), rng=1)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=10), rng=1)
         hist = ga.run_until(MaxEvaluations(55))
         # init 10 + 5 generations x 10 = 60 >= 55 (fires after gen 5).
         assert hist.total_evaluations == 60
 
     def test_periodic_snapshots(self, small_evaluator):
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=10), rng=2)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=10), rng=2)
         hist = ga.run_until(MaxGenerations(6), snapshot_every=2)
         gens = [s.generation for s in hist.snapshots]
         assert gens == [2, 4, 6]
 
     def test_stagnation_terminates_before_bound(self, small_evaluator):
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=12), rng=3)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=12), rng=3)
         pts, _ = ga.current_front()
         ref = (float(pts[:, 0].max() * 10), 0.0)
         hist = ga.run_until(

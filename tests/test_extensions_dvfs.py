@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.errors import ModelError
 from repro.extensions.dvfs import (
     DVFS_PRESETS,
@@ -124,7 +125,7 @@ class TestDVFSOptimization:
         # The seeding heuristics work unchanged on the virtual system:
         # min-energy picks the best (machine, P-state) per task.
         dvfs_seed = MinEnergy().build(dvfs_ev.system, small_trace)
-        ga = NSGA2(dvfs_ev, NSGA2Config(population_size=24), seeds=[dvfs_seed],
-                   rng=3)
+        ga = NSGA2(dvfs_ev, AlgorithmConfig(population_size=24),
+                   seeds=[dvfs_seed], rng=3)
         hist = ga.run(40)
         assert hist.final.front_points[:, 0].min() < e_floor

@@ -108,9 +108,10 @@ class TestBudgetFromFront:
                                         small_evaluator):
         """The paper's loop: offline front -> energy constraint ->
         online budgeted dispatch stays within it."""
-        from repro.core.nsga2 import NSGA2, NSGA2Config
+        from repro.core.algorithm import AlgorithmConfig
+        from repro.core.nsga2 import NSGA2
 
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=24), rng=8)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=24), rng=8)
         hist = ga.run(30)
         front = ParetoFront(points=hist.final.front_points)
         budget = budget_from_front(front)

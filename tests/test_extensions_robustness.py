@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.errors import ScheduleError
 from repro.extensions.robustness import (
     NoiseModel,
@@ -13,9 +14,9 @@ from repro.extensions.robustness import (
     front_robustness,
 )
 from repro.heuristics import MinMinCompletionTime
-from repro.sim.batchkernel import batch_reference_row
 
 from conftest import random_allocation
+from oracles import batch_reference_row
 
 
 class TestNoiseModel:
@@ -146,7 +147,8 @@ class TestAnalyzer:
 class TestFrontRobustness:
     def test_reports_per_front_point(self, small_system, small_trace,
                                      small_evaluator):
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=16), rng=10)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=16),
+                   rng=10)
         hist = ga.run(10)
         analyzer = RobustnessAnalyzer(small_system, small_trace, samples=20,
                                       seed=11)
@@ -157,7 +159,8 @@ class TestFrontRobustness:
 
     def test_requires_solutions(self, small_system, small_trace,
                                 small_evaluator):
-        ga = NSGA2(small_evaluator, NSGA2Config(population_size=16), rng=12)
+        ga = NSGA2(small_evaluator, AlgorithmConfig(population_size=16),
+                   rng=12)
         hist = ga.run(4, checkpoints=[2, 4])
         analyzer = RobustnessAnalyzer(small_system, small_trace, samples=5)
         with pytest.raises(ScheduleError):

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,10 @@ from repro.parallel import shm
 from repro.parallel.manifest import GridManifest
 
 REPS = dict(repetitions=4, generations=3, population_size=10)
+
+#: This checkout's ``src/``: the coordinator subprocess must import the
+#: code under test, not whichever ``repro`` the working directory holds.
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _kill_r1_first_attempt(r, attempt):
@@ -112,8 +117,13 @@ class TestCoordinatorChaos:
         script = textwrap.dedent(
             """
             import sys, time
+            from pathlib import Path
+
+            import repro
             from repro.experiments.datasets import dataset1
             from repro.experiments.repetitions import run_repetitions
+
+            Path(sys.argv[2]).write_text(repro.__file__)
 
             def slow(r, attempt):
                 time.sleep(0.4)
@@ -126,11 +136,12 @@ class TestCoordinatorChaos:
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, ["src", env.get("PYTHONPATH")])
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
         )
+        imported_from = tmp_path / "repro_file.txt"
         proc = subprocess.Popen(
-            [sys.executable, "-c", script, str(grid_dir)],
-            cwd="/root/repo", env=env,
+            [sys.executable, "-c", script, str(grid_dir), str(imported_from)],
+            cwd=SRC.parent, env=env,
         )
         try:
             # Wait for at least one completed cell, then kill -9.
@@ -150,6 +161,9 @@ class TestCoordinatorChaos:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+        # The coordinator ran this checkout's code.
+        assert Path(imported_from.read_text()).resolve().is_relative_to(SRC)
 
         # The grid is genuinely half-finished.
         interrupted = grid_status(grid_dir)

@@ -13,7 +13,8 @@ import pytest
 from repro.analysis.export import figure_to_csv, render_svg_scatter
 from repro.analysis.pareto_front import ParetoFront
 from repro.analysis.efficiency import max_utility_per_energy_region
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.core.termination import HypervolumeStagnation
 from repro.data.historical import HISTORICAL_EPC, HISTORICAL_ETC
 from repro.data.special_purpose import append_special_purpose_columns, choose_accelerated_sets
@@ -45,7 +46,8 @@ class TestSyntheticToOptimization:
         seeds = [
             cls().build(system, trace) for cls in SEEDING_HEURISTICS.values()
         ]
-        ga = NSGA2(evaluator, NSGA2Config(population_size=20), seeds=seeds, rng=53)
+        ga = NSGA2(evaluator, AlgorithmConfig(population_size=20),
+                   seeds=seeds, rng=53)
         hist = ga.run(12)
         front = ParetoFront(points=hist.final.front_points)
         region = max_utility_per_energy_region(front)
@@ -81,11 +83,11 @@ class TestSerializationRoundTrips:
         )
         h1 = NSGA2(
             ScheduleEvaluator(system, trace, check_feasibility=False),
-            NSGA2Config(population_size=12), rng=58,
+            AlgorithmConfig(population_size=12), rng=58,
         ).run(6)
         h2 = NSGA2(
             ScheduleEvaluator(reloaded, trace, check_feasibility=False),
-            NSGA2Config(population_size=12), rng=58,
+            AlgorithmConfig(population_size=12), rng=58,
         ).run(6)
         np.testing.assert_array_equal(
             h1.final.front_points, h2.final.front_points
@@ -100,7 +102,7 @@ class TestSWFToAnalysis:
             window=600.0,
         )
         evaluator = ScheduleEvaluator(small_system, trace)
-        ga = NSGA2(evaluator, NSGA2Config(population_size=10), rng=60)
+        ga = NSGA2(evaluator, AlgorithmConfig(population_size=10), rng=60)
         hist = ga.run(5)
         front = ParetoFront(points=hist.final.front_points)
         svg = render_svg_scatter({"swf": front.points})
@@ -113,7 +115,7 @@ class TestTerminationInPipeline:
         criterion fires well before the generation bound."""
         evaluator = ScheduleEvaluator(tiny_system, tiny_trace,
                                       check_feasibility=False)
-        ga = NSGA2(evaluator, NSGA2Config(population_size=12), rng=61)
+        ga = NSGA2(evaluator, AlgorithmConfig(population_size=12), rng=61)
         pts, _ = ga.current_front()
         ref = (float(pts[:, 0].max() * 10), 0.0)
         hist = ga.run_until(
@@ -129,7 +131,8 @@ class TestOfflineOnlineDVFSLoop:
         on one scenario."""
         dvfs_ev = make_dvfs_evaluator(small_system, small_trace, DVFS_PRESETS)
         seed = MinEnergy().build(dvfs_ev.system, small_trace)
-        ga = NSGA2(dvfs_ev, NSGA2Config(population_size=16), seeds=[seed], rng=62)
+        ga = NSGA2(dvfs_ev, AlgorithmConfig(population_size=16),
+                   seeds=[seed], rng=62)
         front = ParetoFront(points=ga.run(15).final.front_points)
         budget = budget_from_front(front, slack=1.2)
 

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.datasets import dataset1
 from repro.experiments.runner import RetryPolicy, run_seeded_populations
@@ -158,7 +159,7 @@ class TestInstrumentedRun:
         evaluator = ScheduleEvaluator(bundle.system, bundle.trace,
                                       check_feasibility=False)
         obs = RunContext.create(level="info")
-        ga = NSGA2(evaluator, NSGA2Config(population_size=12), rng=5,
+        ga = NSGA2(evaluator, AlgorithmConfig(population_size=12), rng=5,
                    obs=obs)
         ga.run(6)
         traced = stage_totals([s.to_doc() for s in obs.tracer.spans])
@@ -173,7 +174,7 @@ class TestInstrumentedRun:
         evaluator = ScheduleEvaluator(bundle.system, bundle.trace,
                                       check_feasibility=False)
         obs = RunContext.create(level="info")
-        ga = NSGA2(evaluator, NSGA2Config(population_size=12), rng=6,
+        ga = NSGA2(evaluator, AlgorithmConfig(population_size=12), rng=6,
                    obs=obs)
         ga.run(3)
         names = [s.name for s in obs.tracer.spans]
@@ -236,7 +237,7 @@ class TestEvaluatorCacheMetrics:
         evaluator = ScheduleEvaluator(bundle.system, bundle.trace,
                                       check_feasibility=False,
                                       cache_size=8, obs=obs)
-        ga = NSGA2(evaluator, NSGA2Config(population_size=12), rng=7,
+        ga = NSGA2(evaluator, AlgorithmConfig(population_size=12), rng=7,
                    obs=obs)
         ga.run(3)
         stats = evaluator.cache_stats

@@ -13,7 +13,8 @@ from repro.analysis.attainment import attainment_surface
 from repro.analysis.pareto_front import ParetoFront
 from repro.core.archive import ParetoArchive
 from repro.core.dominance import nondominated_mask
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.core.operators import FeasibleMachines, OperatorConfig, VariationOperators
 from repro.core.population import Population
 from repro.core.sorting import fast_nondominated_sort
@@ -79,7 +80,7 @@ def test_property_environmental_selection_is_elitist(seed):
     the previous meta-population survives if the front fits in N."""
     system, trace = random_scenario(seed, 25, 3, 4)
     evaluator = ScheduleEvaluator(system, trace, check_feasibility=False)
-    ga = NSGA2(evaluator, NSGA2Config(population_size=16), rng=seed)
+    ga = NSGA2(evaluator, AlgorithmConfig(population_size=16), rng=seed)
     before_pts, _ = ga.current_front()
     ga.step()
     after = ga.population.objectives

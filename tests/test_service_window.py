@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import batch_reference_row
 from repro.errors import ScheduleError
 from repro.service.stream import ArrivalStream, WindowBatch
 from repro.service.window import CommittedLedger, WindowEvaluator
-from repro.sim.batchkernel import batch_reference_row
 from repro.sim.evaluator import ScheduleEvaluator
 from repro.workload.generator import TaskTypeMix
 from repro.workload.trace import Trace

@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import batch_reference_row
 from repro.service.stream import ArrivalStream
 from repro.service.window import CommittedLedger, PrefixState, WindowEvaluator
-from repro.sim.batchkernel import batch_reference_row
 from repro.sim.evaluator import ScheduleEvaluator
 from repro.sim.schedule import ResourceAllocation
 from repro.workload.generator import TaskTypeMix

@@ -6,7 +6,7 @@ generations.  Its contract has two halves, and every test here pins
 one of them:
 
 * **Exactness** — results are bit-identical to the scalar oracle
-  :func:`~repro.sim.batchkernel.batch_reference_row`, which computes
+  ``oracles.batch_reference_row``, which computes
   every queue with plain Python left folds.
 * **Reuse transparency** — caching only skips work, never changes
   results: cache on/off/cleared, any batch composition, serial or
@@ -23,7 +23,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import OracleEvaluator
+from oracles import OracleEvaluator, batch_reference_row
 
 from repro.core.algorithm import AlgorithmConfig
 from repro.core.operators import FeasibleMachines
@@ -33,7 +33,7 @@ from repro.experiments.datasets import DatasetBundle
 from repro.experiments.repetitions import run_repetitions
 from repro.experiments.runner import RetryPolicy, run_seeded_populations
 from repro.model.system import SystemModel
-from repro.sim.batchkernel import BatchQueueKernel, batch_reference_row
+from repro.sim.batchkernel import BatchQueueKernel
 from repro.sim.evaluator import ScheduleEvaluator
 from repro.sim.makespan import MakespanEnergyEvaluator
 from repro.sim.schedule import ResourceAllocation

@@ -21,12 +21,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import batch_reference_row
 from repro.sim.batchkernel import (
     BatchQueueKernel,
     SortScratch,
     _column_left_folds,
     _segment_key_sums,
-    batch_reference_row,
     queue_order,
 )
 from repro.sim.evaluator import ScheduleEvaluator

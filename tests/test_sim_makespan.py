@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.nsga2 import NSGA2, NSGA2Config
+from repro.core.algorithm import AlgorithmConfig
+from repro.core.nsga2 import NSGA2
 from repro.errors import ScheduleError
 from repro.heuristics import MinMinCompletionTime
 from repro.sim.evaluator import ScheduleEvaluator
@@ -67,7 +68,7 @@ class TestNSGA2Integration:
         drives makespan down over generations."""
         mk_ev = MakespanEnergyEvaluator(small_system, small_trace,
                                         bag_of_tasks=True)
-        ga = NSGA2(mk_ev, NSGA2Config(population_size=20), rng=4)
+        ga = NSGA2(mk_ev, AlgorithmConfig(population_size=20), rng=4)
         first, _ = ga.current_front()
         best_initial = -first[:, 1].max()  # smallest makespan
         hist = ga.run(30)
@@ -85,9 +86,9 @@ class TestNSGA2Integration:
         mk_ev = MakespanEnergyEvaluator(small_system, small_trace,
                                         bag_of_tasks=False)
         seeds = [MinMinCompletionTime().build(small_system, small_trace)]
-        util_hist = NSGA2(util_ev, NSGA2Config(population_size=24),
+        util_hist = NSGA2(util_ev, AlgorithmConfig(population_size=24),
                           seeds=seeds, rng=5).run(40)
-        mk_ga = NSGA2(mk_ev, NSGA2Config(population_size=24),
+        mk_ga = NSGA2(mk_ev, AlgorithmConfig(population_size=24),
                       seeds=seeds, rng=5)
         mk_hist = mk_ga.run(40)
 
