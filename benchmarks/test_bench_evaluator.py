@@ -6,14 +6,29 @@ figures run up to a million generations — the vectorized path is the
 difference between seconds and days.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.sim.evaluator import ScheduleEvaluator
-from repro.sim.events import simulate_reference
 from repro.heuristics import MinEnergy
 
 from conftest import write_output
+
+
+def _load_oracles():
+    """``tests/oracles.py``, loaded by path: ``benchmarks/`` has its own
+    ``conftest.py``, so ``tests/`` must not shadow it on ``sys.path``."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+simulate_reference = _load_oracles().simulate_reference
 
 
 @pytest.fixture(scope="module")

@@ -50,7 +50,6 @@ __all__ = [
     "ResourceAllocation",
     "ScheduleEvaluator",
     "EvaluationResult",
-    "simulate_reference",
     # optimization portfolio
     "Algorithm",
     "AlgorithmConfig",
@@ -138,7 +137,6 @@ __getattr__, __dir__ = _lazy.exports(globals(), {
     ".model.system": ("SystemModel",),
     ".sim.evaluator": ("EvaluationResult", "ScheduleEvaluator"),
     ".sim.schedule": ("ResourceAllocation",),
-    ".sim.events": ("simulate_reference",),
     ".utility.tuf": ("TimeUtilityFunction",),
     ".utility.intervals": ("UtilityClass",),
     ".workload.trace": ("Trace",),

@@ -77,23 +77,22 @@ _TUF_FIELDS = (
 def dataset_arrays(bundle: "DatasetBundle") -> dict[str, np.ndarray]:
     """The read-only array payload of *bundle*, keyed for the segment.
 
-    Uses the same expressions as
-    :class:`~repro.sim.evaluator.ScheduleEvaluator`'s own construction,
+    Gathered by :meth:`~repro.sim.evaluator.EvaluatorArrays.gather`,
+    as :class:`~repro.sim.evaluator.ScheduleEvaluator` gathers its own,
     so evaluators built from these arrays are bit-identical to
     self-computed ones.
     """
-    system, trace = bundle.system, bundle.trace
-    task_types = trace.task_types
+    trace = bundle.trace
+    gathered = EvaluatorArrays.gather(bundle.system, trace.task_types)
     arrays: dict[str, np.ndarray] = {
-        "trace_task_types": task_types,
+        "trace_task_types": trace.task_types,
         "trace_arrivals": trace.arrival_times,
-        "etc_rows": system.etc_task_machine[task_types],
-        "eec_rows": system.eec_task_machine[task_types],
-        "feasible_rows": system.feasible_task_machine[task_types],
+        "etc_rows": gathered.etc_rows,
+        "eec_rows": gathered.eec_rows,
+        "feasible_rows": gathered.feasible_rows,
     }
-    table = TUFTable.from_system(system)
     for name in _TUF_FIELDS:
-        arrays[f"tuf_{name}"] = getattr(table, name)
+        arrays[f"tuf_{name}"] = getattr(gathered.tuf_table, name)
     return arrays
 
 

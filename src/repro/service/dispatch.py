@@ -344,8 +344,9 @@ class DispatchService:
         self._prev_types = batch.task_types
         self._prev_donors = algorithm.population.assignments[donor_rows].copy()
         self._prefix = evaluator.prefix
-        self._elements_total += evaluator.elements_total
-        self._elements_reused += evaluator.elements_reused
+        stats = evaluator.cache_stats
+        self._elements_total += stats["elements_total"]
+        self._elements_reused += stats["elements_reused"]
 
         report = WindowReport(
             index=batch.index, start=batch.start, end=batch.end,
@@ -358,7 +359,7 @@ class DispatchService:
             dispatch_seconds=time.perf_counter() - t0,
             warm_seeds=len(seeds),
             kernel_adopted=evaluator.kernel_adopted,
-            reuse_rate=evaluator.reuse_rate,
+            reuse_rate=stats["reuse_rate"],
             compacted=compacted,
             archive_size=archive_size,
         )

@@ -14,10 +14,11 @@ chromosome of a window, and so are the end values of the four queue
 folds over it (:func:`~repro.sim.batchkernel.fold_queues`): the
 exec-time sum, the running maximum of ``arrival − preceding sum``, and
 the utility and energy partials.  :class:`PrefixState` holds them per
-machine, and :class:`WindowEvaluator` continues the folds from them as
-the seed column, over the free tasks only — O(free tasks) per
-chromosome instead of O(horizon), with every objective bit-identical
-to folding the whole horizon.
+machine.  :class:`WindowEvaluator` is a
+:class:`~repro.sim.evaluator.ScheduleEvaluator` over the free tasks
+alone whose kernel continues the folds from them as the seed column —
+O(free tasks) per chromosome instead of O(horizon), with every
+objective bit-identical to folding the whole horizon.
 
 :class:`CommittedLedger` is the durable record of dispatched tasks.
 Objectives are service-cumulative: horizon totals plus the ledger's
@@ -28,21 +29,19 @@ indefinite streams.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.obs.context import NULL_CONTEXT
-from repro.sim.batchkernel import (
-    SortScratch,
-    fold_queues,
-    queue_order,
-    row_totals,
+from repro.sim.batchkernel import QueuePrefix, fold_queues, queue_order
+from repro.sim.evaluator import (
+    EvaluationResult,
+    EvaluatorArrays,
+    ScheduleEvaluator,
 )
-from repro.sim.evaluator import EvaluationResult
+from repro.sim.schedule import ResourceAllocation
 from repro.types import FloatArray, IntArray
 from repro.utility.vectorized import TUFTable
 from repro.workload.trace import Trace
@@ -298,18 +297,21 @@ class PrefixState:
         return (self.cs_end, self.runmax_end, self.u_partial, self.e_partial)
 
 
-class WindowEvaluator:
-    """Evaluator adapter for one dispatch window (free genes only).
+class WindowEvaluator(ScheduleEvaluator):
+    """The evaluator of one dispatch window (free genes only).
 
-    Presents the GA-facing evaluator surface (``system``, ``trace``,
-    ``num_tasks``, ``evaluate_batch``) over the window's free tasks and
-    scores each chromosome as the horizon it completes; the committed
-    prefix enters only through :attr:`prefix`.  *tuf_table* defaults
-    to one built from *system*.  *carried* is the previous window's
-    :attr:`prefix`, advanced by the tasks that window committed instead
-    of folding the whole ledger (state from a pre-compaction epoch
-    raises :class:`~repro.errors.ScheduleError`).  With *obs* enabled,
-    each batch records an ``evaluator.batch`` span.
+    A :class:`~repro.sim.evaluator.ScheduleEvaluator` over the window's
+    free tasks (their absolute arrival times; feasibility only reads
+    task types) whose every queue continues from the committed prefix
+    (:attr:`prefix`) and whose totals carry the ledger's compaction
+    offsets, so each chromosome scores as the horizon it completes,
+    service-cumulative.  *tuf_table* defaults to one built from
+    *system*.  *carried* is the previous window's :attr:`prefix`,
+    advanced by the tasks that window committed instead of folding the
+    whole ledger (state from a pre-compaction epoch raises
+    :class:`~repro.errors.ScheduleError`).  A window's rows hold a few
+    free tasks each, where hashing and probing cost about as much as
+    folding, so the queue-state cache is off.
     """
 
     def __init__(
@@ -335,100 +337,21 @@ class WindowEvaluator:
             carried = PrefixState.empty(system.num_machines, ledger.epoch)
         #: Folds of every committed queue prefix at this window's start.
         self.prefix = carried.advance(system, ledger, tuf_table)
-        self.obs = obs if obs is not None else NULL_CONTEXT
-        self._tuf_table = tuf_table
-        types = batch.task_types
-        self._etc = system.etc_task_machine[types]
-        self._eec = system.eec_task_machine[types]
-        self._scratch = SortScratch()
-        # GA-facing surface: the free tasks as their own trace (absolute
-        # arrival times — feasibility only reads task types).
-        self.system = system
-        self.trace = Trace(
-            task_types=types,
+        trace = Trace(
+            task_types=batch.task_types,
             arrival_times=batch.arrival_times,
             window=batch.end,
         )
-        self.num_tasks = batch.count
-        self.num_machines = system.num_machines
-        #: Horizon elements evaluated, and those the prefix state served.
-        self.elements_total = 0
-        self.elements_reused = 0
-
-    @property
-    def reuse_rate(self) -> float:
-        """Share of this window's horizon elements served by the prefix
-        state instead of being folded (0.0 before the first batch)."""
-        total = self.elements_total
-        return self.elements_reused / total if total else 0.0
-
-    # -- GA-facing evaluator surface ---------------------------------------
-
-    def _fold(self, assignments: IntArray, orders: IntArray):
-        """``(perm, folds)``: the flat free elements' queue order and
-        their folds, continued from the prefix state."""
-        assignments = np.asarray(assignments, dtype=np.int64)
-        orders = np.asarray(orders, dtype=np.int64)
-        N, F = assignments.shape
-        if orders.shape != (N, F) or F != self.num_tasks:
-            raise ScheduleError(
-                f"free genes must be (rows, {self.num_tasks}) arrays; got "
-                f"{assignments.shape} and {orders.shape}"
-            )
-        M = self.num_machines
-        seg = (assignments
-               + (np.arange(N, dtype=np.int64) * M)[:, None]).reshape(-1)
-        perm = queue_order(seg, orders.reshape(-1), self._scratch)
-        sseg = seg[perm]
-        task = perm % F
-        mach = sseg - (perm // F) * M
-        folds = fold_queues(
-            sseg,
-            self._etc[task, mach],
-            self.batch.arrival_times[task],
-            self.batch.task_types[task],
-            self._eec[task, mach],
-            self._tuf_table,
-            seed=self.prefix.seed,
+        super().__init__(
+            system, trace, check_feasibility=False, cache_size=0, obs=obs,
+            precomputed=EvaluatorArrays.gather(
+                system, batch.task_types, tuf_table
+            ),
+            prefix=QueuePrefix(
+                self.prefix.seed, self.committed,
+                ledger.energy_offset, ledger.utility_offset,
+            ),
         )
-        return perm, folds
-
-    def _totals(
-        self, N: int, ids: IntArray, ue: FloatArray
-    ) -> tuple[FloatArray, FloatArray]:
-        """Service-cumulative per-row ``(energies, utilities)``: the
-        left fold over machines, from the prefix partials."""
-        q = np.empty((2, N, self.num_machines))
-        q[0] = self.prefix.u_partial
-        q[1] = self.prefix.e_partial
-        q.reshape(2, -1)[:, ids] = ue
-        utilities, energies = row_totals(q)
-        ledger = self.ledger
-        if ledger.energy_offset or ledger.utility_offset:
-            energies = energies + ledger.energy_offset
-            utilities = utilities + ledger.utility_offset
-        return energies, utilities
-
-    def evaluate_batch(
-        self, assignments: IntArray, orders: IntArray
-    ) -> tuple[FloatArray, FloatArray]:
-        """Service-cumulative ``(energies, utilities)`` per free-gene row."""
-        t0 = time.perf_counter()
-        N = len(assignments)
-        if N == 0:
-            return np.empty(0), np.empty(0)
-        _, folds = self._fold(assignments, orders)
-        result = self._totals(N, folds.ids, folds.ue)
-        self.elements_total += N * (self.committed + self.num_tasks)
-        self.elements_reused += N * self.committed
-        if self.obs.enabled:
-            self.obs.record_span(
-                "evaluator.batch", time.perf_counter() - t0,
-                rows=N, reuse_rate=self.reuse_rate,
-            )
-        return result
-
-    # -- commit support ----------------------------------------------------
 
     def evaluate_full(
         self, assignment: IntArray, order: IntArray
@@ -438,24 +361,9 @@ class WindowEvaluator:
         Arrays cover the free tasks only; ``energy``/``utility`` are the
         row's service-cumulative totals, as :meth:`evaluate_batch`'s.
         """
-        assignment = np.asarray(assignment, dtype=np.int64)
-        perm, folds = self._fold(
-            assignment[None, :], np.asarray(order)[None, :]
-        )
-        energies, utilities = self._totals(1, folds.ids, folds.ue)
-        tasks = np.arange(self.num_tasks)
-        completion = np.empty(self.num_tasks)
-        completion[perm] = folds.finish
-        task_utilities = np.empty(self.num_tasks)
-        task_utilities[perm] = folds.utility
-        return EvaluationResult(
-            energy=float(energies[0]),
-            utility=float(utilities[0]),
-            start_times=completion - self._etc[tasks, assignment],
-            completion_times=completion,
-            task_utilities=task_utilities,
-            task_energies=self._eec[tasks, assignment],
-        )
+        return self.evaluate(ResourceAllocation(
+            machine_assignment=assignment, scheduling_order=order,
+        ))
 
     def absolute_orders(self, orders: IntArray) -> IntArray:
         """Free GA order keys shifted to their absolute (ledger) values."""

@@ -5,16 +5,15 @@ assignment + global scheduling order), this package computes the two
 objective values of the paper — total utility earned ``U`` (Eq. 1) and
 total energy consumed ``E`` (Eq. 3) — plus auxiliary schedule metrics.
 
-Two implementations with identical semantics:
-
-* :mod:`repro.sim.evaluator` — the production path.  The per-machine
-  queue recurrence ``f_i = max(f_{i-1}, a_i) + e_i`` is solved in
-  closed form by one queue fold (:mod:`repro.sim.batchkernel`: a
-  cumulative sum plus a running maximum per queue), so evaluating a
-  chromosome is pure vectorized NumPy (no Python loop over tasks), and
-  whole populations evaluate in one shot.
-* :mod:`repro.sim.events` — a plain sequential reference simulator
-  used to validate the fast path (property-tested to bit-equality).
+:mod:`repro.sim.evaluator` is the one evaluator.  The per-machine
+queue recurrence ``f_i = max(f_{i-1}, a_i) + e_i`` is solved in closed
+form by one queue fold (:mod:`repro.sim.batchkernel`: a cumulative sum
+plus a running maximum per queue), so evaluating a chromosome is pure
+vectorized NumPy (no Python loop over tasks), and whole populations
+evaluate in one shot.  The online service's window evaluator and the
+makespan baseline (:mod:`repro.sim.makespan`) are subclasses of it.
+The sequential event simulator the tests check it against lives in
+``tests/oracles.py``.
 """
 
 from repro import _lazy
@@ -23,17 +22,18 @@ __all__ = [
     "ResourceAllocation",
     "ScheduleEvaluator",
     "EvaluationResult",
-    "simulate_reference",
     "ScheduleMetrics",
     "compute_metrics",
+    "GanttEntry",
+    "gantt_entries",
     "render_gantt",
     "machine_timeline",
 ]
 
 __getattr__, __dir__ = _lazy.exports(globals(), {
     ".evaluator": ("EvaluationResult", "ScheduleEvaluator"),
-    ".events": ("simulate_reference",),
-    ".gantt": ("machine_timeline", "render_gantt"),
+    ".gantt": ("GanttEntry", "gantt_entries", "machine_timeline",
+               "render_gantt"),
     ".metrics": ("ScheduleMetrics", "compute_metrics"),
     ".schedule": ("ResourceAllocation",),
 })

@@ -21,9 +21,10 @@ queue id.  Every fold is queue-content-deterministic — a queue's
 numbers depend only on its own ordered content, never on the rest of
 the batch — which is what makes cached queue states exact: results are
 bit-identical with the cache on, off, across checkpoint resume, and
-across serial/parallel execution.  A seed column lets a caller continue
-the folds from a known queue prefix (the online service's committed
-queues).  ``tests/oracles.py`` restates the same folds as scalar Python
+across serial/parallel execution.  A seed column continues the folds
+from a known queue prefix (:class:`QueuePrefix`: the online service's
+committed queues); a kernel binds one prefix for its lifetime, so its
+cached queue states stay exact.  ``tests/oracles.py`` restates the same folds as scalar Python
 loops; it is the exactness oracle the tests compare against.
 
 Queue-state reuse
@@ -33,6 +34,8 @@ Each queue's content is fingerprinted with a *commutative* 64-bit hash
 fingerprint needs no sort; the composite-key sort runs only over
 elements of queues that miss.  The :class:`QueueStateTable` maps
 fingerprints to the queue's ``(utility, energy, final finish)`` folds.
+With the cache off nothing is hashed: every non-empty queue is sorted
+and folded directly.
 
 Hash collisions would silently reuse a wrong state; keys carry 64
 hashed bits plus the queue id and length as a separate check word, so
@@ -53,6 +56,7 @@ __all__ = [
     "BatchQueueKernel",
     "FoldPool",
     "QueueFolds",
+    "QueuePrefix",
     "QueueStateTable",
     "SortScratch",
     "fold_queues",
@@ -260,7 +264,7 @@ def fold_queues(
     lead = 0 if seed is None else 1
     col = np.arange(lead, n + lead)
     col -= starts[segc]
-    L = int(np.diff(starts, append=n).max()) + lead
+    L = int(col.max()) + 1
     # One buffer backs both stages: the (S, L) finish-time planes are
     # dead before the (2, L, W) utility/energy plane is written.  W >= 2
     # keeps the column reduce a left fold.
@@ -317,10 +321,11 @@ def row_totals(per_queue: np.ndarray) -> np.ndarray:
     return np.add.accumulate(per_queue, axis=2)[:, :, -1]
 
 
-class _OpenAddressTable:
-    """Vectorized open-addressing hash table over parallel numpy arrays.
+class QueueStateTable:
+    """Full-queue states: content key → (utility, energy, final finish).
 
-    Keys are ``(key, check)`` uint64 pairs; values live in *n_values*
+    A vectorized open-addressing hash table over parallel numpy arrays:
+    keys are ``(key, check)`` uint64 pairs; the three values live in
     parallel float64 columns.  The table clears itself when the entry
     count would exceed half the slots (bounded memory, short probe
     chains); inserts that cannot find a slot within the probe cap are
@@ -331,7 +336,7 @@ class _OpenAddressTable:
     #: Linear-probe rounds before a lookup/insert gives up.
     MAX_PROBES = 32
 
-    def __init__(self, n_slots_log2: int, n_values: int) -> None:
+    def __init__(self, n_slots_log2: int = 18) -> None:
         if not (4 <= n_slots_log2 <= 28):
             raise ValueError(
                 f"n_slots_log2 must be in [4, 28]; got {n_slots_log2}"
@@ -348,11 +353,9 @@ class _OpenAddressTable:
         self.keys = np.empty(n, dtype=U64)
         self.checks = np.empty(n, dtype=U64)
         self.used = np.zeros(n, dtype=bool)
-        self.values = [np.empty(n, dtype=np.float64) for _ in range(n_values)]
+        self.values = [np.empty(n, dtype=np.float64) for _ in range(3)]
         self.capacity = n // 2
         self.entries = 0
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
 
     def clear(self) -> None:
@@ -437,67 +440,93 @@ class _OpenAddressTable:
             home = home[keep]
 
 
-class QueueStateTable(_OpenAddressTable):
-    """Full-queue states: content key → (utility, energy, final finish)."""
+class QueuePrefix(NamedTuple):
+    """A queue prefix every evaluated row continues from.
 
-    def __init__(self, n_slots_log2: int = 18) -> None:
-        super().__init__(n_slots_log2, n_values=3)
+    ``seed`` holds the end values of the four folds over each queue's
+    prefix, ``(cs, runmax, utility, energy)``, one entry per queue (the
+    :func:`fold_queues` seed).  ``tasks`` counts the prefix elements:
+    each evaluated row counts them as served, not folded.  The offsets
+    are added to every row total after the queue folds (the totals of
+    tasks that left the prefix, e.g. a compacted ledger's).
+    """
 
-    @property
-    def stats(self) -> dict:
-        total = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": self.entries,
-            "evictions": self.evictions,
-            "hit_rate": self.hits / total if total else 0.0,
-        }
+    seed: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    tasks: int = 0
+    energy_offset: float = 0.0
+    utility_offset: float = 0.0
 
 
 class BatchQueueKernel:
     """Population-at-once evaluation with queue-state reuse.
 
-    Bound to one evaluator's precomputed arrays (duck-typed: needs
-    ``_etc_flat``, ``_eec_flat``, ``_arrivals``, ``_task_types``,
-    ``_tuf_table``, ``_queue_groups``, ``_num_queues``,
-    ``num_machines``, ``num_tasks``).  The arrays are bound at
-    construction and the evaluator itself is not kept: an evaluator
-    owns its kernel, so a back-reference would put every evaluator in
-    a reference cycle and keep it (with its scratch pools) alive until
-    a cyclic garbage collection happens to run.
+    Holds the flat ``(task × machine)`` ETC/EEC gathers, the trace
+    columns, the TUF table and the machine → queue map that
+    :class:`~repro.sim.evaluator.ScheduleEvaluator` binds.  It keeps no
+    reference to the evaluator: an evaluator owns its kernel, so a
+    back-reference would put every evaluator in a reference cycle and
+    keep it (with its scratch pools) alive until a cyclic garbage
+    collection happens to run.
 
     Parameters
     ----------
     cache_size:
         Entry budget of the queue-state table, which holds up to half
         its slots (so the slot count doubles it); ``0`` disables
-        queue-state reuse and every queue is recomputed each call.
-        Results are bit-identical either way.
+        queue-state reuse: every non-empty queue is folded each call
+        and no element is hashed.  Results are bit-identical either way.
+    prefix:
+        Optional :class:`QueuePrefix` every queue continues from; empty
+        queues then contribute the prefix partials.  It is fixed for
+        the kernel's lifetime, so cached queue states stay exact.
     """
 
-    def __init__(self, ev, cache_size: int = DEFAULT_CACHE_SIZE) -> None:
-        self._etc_flat = ev._etc_flat
-        self._eec_flat = ev._eec_flat
-        self._arrivals = ev._arrivals
-        self._task_types = ev._task_types
-        self._tuf_table = ev._tuf_table
+    def __init__(
+        self,
+        etc_flat: np.ndarray,
+        eec_flat: np.ndarray,
+        arrivals: np.ndarray,
+        task_types: np.ndarray,
+        tuf_table,
+        queue_groups: np.ndarray,
+        cache_size: int = DEFAULT_CACHE_SIZE,
+        prefix: Optional[QueuePrefix] = None,
+    ) -> None:
+        self._etc_flat = etc_flat
+        self._eec_flat = eec_flat
+        self._arrivals = arrivals
+        self._task_types = task_types
+        self._tuf_table = tuf_table
         self.use_cache = cache_size > 0
-        self.M = int(ev.num_machines)
-        self.T = int(ev.num_tasks)
-        self.Mq = int(ev._num_queues)
-        self.qg = np.ascontiguousarray(ev._queue_groups, dtype=np.int64)
-        self._queue_slots_log2 = min(
-            28, max(8, (2 * cache_size - 1).bit_length()) if cache_size else 8
-        )
+        self.qg = np.ascontiguousarray(queue_groups, dtype=np.int64)
+        self.M = int(self.qg.shape[0])
+        self.T = int(arrivals.shape[0])
+        self.Mq = int(self.qg.max()) + 1
+        # Without a prefix the folds start from empty queues, and need
+        # no seed column.
+        self._seed = None if prefix is None else prefix.seed
+        if prefix is None:
+            prefix = QueuePrefix((
+                np.zeros(self.Mq), np.full(self.Mq, -np.inf),
+                np.zeros(self.Mq), np.zeros(self.Mq),
+            ))
+        self.prefix = prefix
+        # What an empty queue contributes: its prefix's folds.
+        cs, runmax, u, e = prefix.seed
+        self._empty_ue = np.array([u, e])
+        self._empty_finish = runmax + cs
         self._queue_table: Optional[QueueStateTable] = None
-        # Per-symbol hash tables: symbol = task_index * M + machine
-        # (machines sharing a DVFS queue still hash apart — their ETC
-        # columns differ); order keys go through a second table when
-        # they fit it, and an arithmetic mix otherwise.
-        self._r_sym = _odd_random_u64(self.T * self.M, stream=1)
-        self._ord_cap = max(1024, 4 * self.T)
-        self._r_ord = _odd_random_u64(self._ord_cap, stream=2)
+        self._queue_slots_log2 = min(
+            28, max(8, (2 * cache_size - 1).bit_length())
+        )
+        if self.use_cache:
+            # Per-symbol hash tables: symbol = task_index * M + machine
+            # (machines sharing a DVFS queue still hash apart — their
+            # ETC columns differ); order keys go through a second table
+            # when they fit it, and an arithmetic mix otherwise.
+            self._r_sym = _odd_random_u64(self.T * self.M, stream=1)
+            self._ord_cap = max(1024, 4 * self.T)
+            self._r_ord = _odd_random_u64(self._ord_cap, stream=2)
         # Grow-only scratch, keyed by element capacity.
         self._cap = 0
         self._rows_mq: Optional[np.ndarray] = None
@@ -509,6 +538,8 @@ class BatchQueueKernel:
         self._pool = FoldPool()
         # Reuse statistics (lifetime + last batch).
         self.last_batch: dict = {}
+        self.queue_hits = 0
+        self.queue_misses = 0
         self.elements_total = 0
         self.elements_reused = 0
 
@@ -530,9 +561,10 @@ class BatchQueueKernel:
         self._rows_mq = np.repeat(np.arange(N, dtype=np.int64) * self.Mq,
                                   self.T)
         self._cols_m = np.tile(np.arange(self.T, dtype=np.int64) * self.M, N)
-        self._qids = np.tile(np.arange(self.Mq, dtype=np.int64), N)
-        self._u64 = [np.empty(n, dtype=U64) for _ in range(2)]
         self._i64 = [np.empty(n, dtype=np.int64) for _ in range(2)]
+        if self.use_cache:
+            self._qids = np.tile(np.arange(self.Mq, dtype=np.int64), N)
+            self._u64 = [np.empty(n, dtype=U64) for _ in range(2)]
 
     # -- hashing -----------------------------------------------------------
 
@@ -557,41 +589,13 @@ class BatchQueueKernel:
     # -- public API --------------------------------------------------------
 
     def evaluate_population(
-        self, assignments: np.ndarray, orders: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(energies, utilities)`` for an already-validated batch."""
-        e, u, _ = self._evaluate(assignments, orders, want_finish=False)
-        return e, u
-
-    def evaluate_population_with_finish(
-        self, assignments: np.ndarray, orders: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """As above plus per-row makespan (max over queue final finishes;
-        ``max`` is rounding-free, so makespans are as exact as the queue
-        states themselves)."""
-        return self._evaluate(assignments, orders, want_finish=True)
-
-    @property
-    def stats(self) -> dict:
-        """Queue-reuse counters: table stats + element-level reuse."""
-        s = self.queue_table.stats
-        s["elements_total"] = self.elements_total
-        s["elements_reused"] = self.elements_reused
-        s["reuse_rate"] = (
-            self.elements_reused / self.elements_total
-            if self.elements_total else 0.0
-        )
-        return s
-
-    def clear(self) -> None:
-        """Drop all cached queue states."""
-        self.queue_table.clear()
-
-    # -- core --------------------------------------------------------------
-
-    def _evaluate(
-        self, assignments: np.ndarray, orders: np.ndarray, want_finish: bool
+        self, assignments: np.ndarray, orders: np.ndarray,
+        want_finish: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """``(energies, utilities, makespans)`` for an already-validated
+        batch; makespans (``None`` unless *want_finish*) are the maxima
+        over queue final finishes — ``max`` is rounding-free, so they
+        are as exact as the queue states themselves."""
         N, T = assignments.shape
         Mq = self.Mq
         n = N * T
@@ -600,29 +604,32 @@ class BatchQueueKernel:
         flat_m = assignments.reshape(-1)
         flat_o = orders.reshape(-1)
         # seg id = row * Mq + queue(machine); symbol = task * M + machine
-        q = np.take(self.qg, flat_m, out=self._i64[0][:n])
+        q = self.qg.take(flat_m, out=self._i64[0][:n])
         seg = np.add(q, self._rows_mq[:n], out=self._i64[0][:n])
         sym = np.add(self._cols_m[:n], flat_m, out=self._i64[1][:n])
 
-        h = self._element_hashes(sym, flat_o, n)
-        k = _segment_key_sums(h, seg, n_seg)
-        lens = np.bincount(seg, minlength=n_seg)
-        # The check word carries structure the sum-hash does not.
-        check = (
-            (lens.astype(np.int64) << np.int64(20)) | self._qids[:n_seg]
-        ).view(U64)
-        nonempty = lens > 0
+        # Per-queue (utility, energy) and final finish, empty queues
+        # keeping their prefix's.
+        ue = np.empty((2, n_seg))
+        ue.reshape(2, N, Mq)[...] = self._empty_ue[:, None, :]
+        fq = None
+        if want_finish:
+            fq = np.empty(n_seg)
+            fq.reshape(N, Mq)[...] = self._empty_finish
 
-        # Per-queue (utility, energy) and final finish; empty queues
-        # contribute +0.0 to the row folds, which is exact.
-        ue = np.zeros((2, n_seg))
-        fq = np.full(n_seg, -np.inf) if want_finish else None
-
-        found = np.zeros(n_seg, dtype=bool)
         if self.use_cache:
+            h = self._element_hashes(sym, flat_o, n)
+            k = _segment_key_sums(h, seg, n_seg)
+            lens = np.bincount(seg, minlength=n_seg)
+            # The check word carries structure the sum-hash does not.
+            check = (
+                (lens.astype(np.int64) << np.int64(20)) | self._qids[:n_seg]
+            ).view(U64)
+            nonempty = lens > 0
             # Probe only nonempty segments: empty ones can never match
             # (entries always carry length > 0) and their all-zero keys
             # would pile onto one probe chain.
+            found = np.zeros(n_seg, dtype=bool)
             ne_ids = np.flatnonzero(nonempty)
             if ne_ids.size == n_seg:
                 f_ne, s_ne = self.queue_table.lookup(k, check)
@@ -638,47 +645,123 @@ class BatchQueueKernel:
                 ue[1, hit_ids] = values[1][hs]
                 if want_finish:
                     fq[hit_ids] = values[2][hs]
-        n_hits = int(np.count_nonzero(found))
-        miss_seg = nonempty & ~found
-        n_miss = int(np.count_nonzero(miss_seg))
-        hit_elems = int(lens[found].sum()) if n_hits else 0
-        self.queue_table.hits += n_hits
-        self.queue_table.misses += n_miss
-
-        if n_miss:
-            # Sort and fold every missed queue, then store the states.
+            n_hits = int(np.count_nonzero(found))
+            hit_elems = int(lens[found].sum()) if n_hits else 0
+            miss_seg = nonempty & ~found
             idx = np.flatnonzero(miss_seg[seg])
-            sidx = idx[queue_order(seg[idx], flat_o[idx], self._sort_scratch)]
+        else:
+            n_hits = hit_elems = 0
+            idx = None
+
+        n_miss = 0
+        if idx is None or idx.size:
+            # Sort and fold every missed queue (every non-empty queue
+            # without the cache), then store the states.
+            if idx is None:
+                sidx = queue_order(seg, flat_o, self._sort_scratch)
+            else:
+                sidx = idx[queue_order(seg[idx], flat_o[idx],
+                                       self._sort_scratch)]
             stask = sidx % self.T
             lin = sym[sidx]  # task * M + machine: the flat ETC/EEC index
             folds = fold_queues(
                 seg[sidx], self._etc_flat[lin], self._arrivals[stask],
                 self._task_types[stask], self._eec_flat[lin],
-                self._tuf_table, pool=self._pool,
+                self._tuf_table, seed=self._seed, pool=self._pool,
             )
             miss_ids = folds.ids
-            f_new = folds.runmax_end + folds.cs_end
+            n_miss = int(miss_ids.shape[0])
             ue[:, miss_ids] = folds.ue
-            if want_finish:
-                fq[miss_ids] = f_new
-            if self.use_cache:
-                self.queue_table.insert(
-                    k[miss_ids], check[miss_ids], folds.ue[0], folds.ue[1],
-                    f_new,
-                )
+            if want_finish or self.use_cache:
+                f_new = folds.runmax_end + folds.cs_end
+                if want_finish:
+                    fq[miss_ids] = f_new
+                if self.use_cache:
+                    self.queue_table.insert(
+                        k[miss_ids], check[miss_ids], folds.ue[0],
+                        folds.ue[1], f_new,
+                    )
 
-        self.elements_total += n
-        self.elements_reused += hit_elems
+        # Prefix elements are served from the prefix state in every row.
+        served = N * self.prefix.tasks
+        elements = n + served
+        reused = hit_elems + served
+        self.queue_hits += n_hits
+        self.queue_misses += n_miss
+        self.elements_total += elements
+        self.elements_reused += reused
         self.last_batch = {
             "rows": N,
-            "elements": n,
-            "queues": int(np.count_nonzero(nonempty)),
+            "elements": elements,
+            "queues": n_hits + n_miss,
             "queue_hits": n_hits,
             "queue_misses": n_miss,
-            "elements_reused": hit_elems,
-            "reuse_rate": hit_elems / n if n else 0.0,
+            "elements_reused": reused,
+            "reuse_rate": reused / elements if elements else 0.0,
         }
 
-        utilities, energies = row_totals(ue.reshape(2, N, Mq))
+        energies, utilities = self._totals(ue, N)
         finish = fq.reshape(N, Mq).max(axis=1) if want_finish else None
         return energies, utilities, finish
+
+    def fold_row(
+        self, assignment: np.ndarray, order: np.ndarray
+    ) -> tuple[np.ndarray, QueueFolds, float, float]:
+        """Fold one validated row in full, bypassing the queue cache.
+
+        Returns ``(perm, folds, energy, utility)``: *perm* puts the
+        row's tasks in queue order, and *folds* are
+        :func:`fold_queues`' output over them in that order.
+        """
+        seg = self.qg[assignment]
+        # Fresh buffers: one row's longest queue can dwarf a batch's, and
+        # the pools would keep it for the kernel's lifetime.
+        perm = queue_order(seg, order)
+        lin = perm * self.M + assignment[perm]
+        folds = fold_queues(
+            seg[perm], self._etc_flat[lin], self._arrivals[perm],
+            self._task_types[perm], self._eec_flat[lin], self._tuf_table,
+            seed=self._seed,
+        )
+        ue = self._empty_ue.copy()
+        ue[:, folds.ids] = folds.ue
+        (energy,), (utility,) = self._totals(ue, 1)
+        return perm, folds, float(energy), float(utility)
+
+    @property
+    def stats(self) -> dict:
+        """Queue-reuse counters: table stats + element-level reuse."""
+        table = self._queue_table
+        lookups = self.queue_hits + self.queue_misses
+        return {
+            "hits": self.queue_hits,
+            "misses": self.queue_misses,
+            "entries": table.entries if table is not None else 0,
+            "evictions": table.evictions if table is not None else 0,
+            "hit_rate": self.queue_hits / lookups if lookups else 0.0,
+            "elements_total": self.elements_total,
+            "elements_reused": self.elements_reused,
+            "reuse_rate": (
+                self.elements_reused / self.elements_total
+                if self.elements_total else 0.0
+            ),
+        }
+
+    def clear(self) -> None:
+        """Drop all cached queue states."""
+        if self._queue_table is not None:
+            self._queue_table.clear()
+
+    # -- core --------------------------------------------------------------
+
+    def _totals(
+        self, ue: np.ndarray, N: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row ``(energies, utilities)`` of ``(2, N × Mq)`` queue
+        folds, plus the prefix offsets."""
+        utilities, energies = row_totals(ue.reshape(2, N, self.Mq))
+        prefix = self.prefix
+        if prefix.energy_offset or prefix.utility_offset:
+            energies = energies + prefix.energy_offset
+            utilities = utilities + prefix.utility_offset
+        return energies, utilities

@@ -183,12 +183,12 @@ class TUFTable:
         # The folded-in tail segment makes end-of-life a search result.
         lin = task_types * Ke
         for col in cols:
-            lin += np.take(col, task_types) <= t
+            lin += col.take(task_types) <= t
         # ``t`` is this call's own buffer: it becomes rate·dt in place.
-        rdt = np.subtract(t, np.take(bp_flat, lin), out=t)
-        np.multiply(np.take(rt_flat, lin), rdt, out=rdt)
-        kind = np.take(kd_flat, lin)
-        value = np.take(sv_flat, lin)
+        rdt = np.subtract(t, bp_flat.take(lin), out=t)
+        np.multiply(rt_flat.take(lin), rdt, out=rdt)
+        kind = kd_flat.take(lin)
+        value = sv_flat.take(lin)
         # Constant segments keep v0; linear ones take v0 − rate·dt and
         # exponential ones v0·exp(−rate·dt).  No boolean gathers: the
         # linear formula is a masked subtract, and exp runs over the
@@ -201,7 +201,7 @@ class TUFTable:
             np.exp(rdt, out=rdt)
             np.putmask(rdt, not_exp, 1.0)
             value *= rdt
-        np.maximum(value, np.take(self.tail_floors, task_types), out=value)
+        np.maximum(value, self.tail_floors.take(task_types), out=value)
         return value.reshape(shape)
 
     def utility_upper_bound(self, task_types: IntArray) -> float:

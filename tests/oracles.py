@@ -12,6 +12,8 @@ results from both.
   scalar Python loops, one chromosome at a time.
 * :class:`OracleEvaluator` — a ``ScheduleEvaluator`` whose
   ``evaluate_batch`` answers every row from :func:`batch_reference_row`.
+* :func:`simulate_reference` — the schedule semantics straight from
+  the paper's prose, one machine and one task at a time.
 
 The benchmarks load this file by path (``benchmarks/`` has its own
 ``conftest.py``, so ``tests/`` must never come first on ``sys.path``).
@@ -19,21 +21,29 @@ The benchmarks load this file by path (``benchmarks/`` has its own
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.core.crowding import crowding_truncate
 from repro.core.nsga2 import NSGA2, EpsilonArchiveNSGA2
 from repro.core.population import Population
 from repro.core.sorting import fast_nondominated_sort, fronts_from_ranks
+from repro.errors import ScheduleError
+from repro.model.system import SystemModel
 from repro.sim.evaluator import ScheduleEvaluator
-from repro.types import IntArray
+from repro.sim.schedule import ResourceAllocation
+from repro.types import FloatArray, IntArray
+from repro.workload.trace import Trace
 
 __all__ = [
     "OracleEvaluator",
     "ReferenceEpsArchive",
     "ReferenceNSGA2",
+    "ReferenceResult",
     "ReferenceSelection",
     "batch_reference_row",
+    "simulate_reference",
 ]
 
 
@@ -143,3 +153,65 @@ class OracleEvaluator(ScheduleEvaluator):
                 for a, o in zip(np.asarray(assignments), np.asarray(orders))]
         return (np.array([r[0] for r in rows], dtype=np.float64),
                 np.array([r[1] for r in rows], dtype=np.float64))
+
+
+class ReferenceResult(NamedTuple):
+    """Outcome of :func:`simulate_reference`."""
+
+    start_times: FloatArray
+    completion_times: FloatArray
+    energy: float
+    utility: float
+
+
+def simulate_reference(
+    system: SystemModel, trace: Trace, allocation: ResourceAllocation
+) -> ReferenceResult:
+    """Simulate *allocation* with per-machine sequential loops.
+
+    The paper's prose: per machine, tasks execute in global scheduling
+    order; "we must ensure that any task's start time is greater than
+    or equal to its arrival time.  If this is not the case, the machine
+    sits idle until this condition is met."  Energy (Eq. 3) and utility
+    (Eq. 1) are summed task by task, each task's utility from its own
+    utility function.
+    """
+    trace.validate_against(system.num_task_types)
+    if allocation.num_tasks != trace.num_tasks:
+        raise ScheduleError(
+            f"allocation covers {allocation.num_tasks} tasks; trace has "
+            f"{trace.num_tasks}"
+        )
+    allocation.validate_against(
+        system.num_machines,
+        feasible_task_machine=system.feasible_task_machine,
+        task_types=trace.task_types,
+    )
+
+    T = trace.num_tasks
+    start = np.zeros(T, dtype=np.float64)
+    finish = np.zeros(T, dtype=np.float64)
+    for m in range(system.num_machines):
+        available = 0.0
+        for task in allocation.machine_queue(m):
+            task = int(task)
+            begin = max(available, float(trace.arrival_times[task]))
+            tt = trace.task_types[task]
+            start[task] = begin
+            finish[task] = available = (
+                begin + float(system.etc_task_machine[tt, m])
+            )
+
+    energy = 0.0
+    utility = 0.0
+    for task in range(T):
+        tt = int(trace.task_types[task])
+        m = int(allocation.machine_assignment[task])
+        energy += float(system.eec_task_machine[tt, m])
+        tuf = system.task_types[tt].utility_function
+        if tuf is None:
+            raise ScheduleError(
+                f"task type {tt} has no utility function attached"
+            )
+        utility += float(tuf(finish[task] - trace.arrival_times[task]))
+    return ReferenceResult(start, finish, energy, utility)

@@ -217,14 +217,17 @@ class TestAlgorithmConfig:
 
 
 class TestRemovedNames:
-    """The deprecated config entry point and the scalar fold oracle are
-    gone from the package; the oracles live in ``tests/oracles.py``."""
+    """The deprecated config entry point, the scalar fold oracle and the
+    event simulator are gone from the package; the oracles live in
+    ``tests/oracles.py``."""
 
     @pytest.mark.parametrize("module, name", [
         ("repro", "NSGA2Config"),
         ("repro.core", "NSGA2Config"),
         ("repro.core.nsga2", "NSGA2Config"),
         ("repro.sim.batchkernel", "batch_reference_row"),
+        ("repro", "simulate_reference"),
+        ("repro.sim", "simulate_reference"),
     ])
     def test_name_is_gone(self, module, name):
         with pytest.raises(AttributeError):

@@ -12,9 +12,9 @@ from repro.heuristics import (
     MinMinCompletionTime,
 )
 from repro.sim.evaluator import ScheduleEvaluator
-from repro.sim.events import simulate_reference
 
 from conftest import random_allocation
+from oracles import simulate_reference
 from test_sim_events_equivalence import random_scenario
 
 

@@ -24,13 +24,13 @@ from repro.extensions.online import BudgetedUtilityPolicy, OnlineDispatcher, bud
 from repro.heuristics import SEEDING_HEURISTICS, MinEnergy
 from repro.model.serialization import load_system, save_system
 from repro.sim.evaluator import ScheduleEvaluator
-from repro.sim.events import simulate_reference
 from repro.utility.builder import TUFBuilder
 from repro.utility.presets import assign_presets
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.importers import parse_swf_text, trace_from_swf
 
 from repro.experiments.datasets import build_expanded_system
+from oracles import simulate_reference
 from test_workload_importers import SAMPLE as SWF_SAMPLE
 
 

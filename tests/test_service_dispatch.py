@@ -247,6 +247,46 @@ class TestServiceObservability:
         assert all(s["attrs"]["rows"] > 0 for s in batch_spans)
         assert any(s["attrs"]["reuse_rate"] > 0 for s in batch_spans)
 
+    def test_window_batches_feed_evaluator_metrics(self, small_system,
+                                                    tmp_path):
+        """Windows evaluate through the instrumented evaluator: the
+        chromosome counter sees every row, and each batch span's reuse
+        rate is its window's committed share of the horizon."""
+        obs = RunContext.create(obs_dir=tmp_path, run_id="svc-reuse")
+        service = DispatchService(small_system, small_config(), obs=obs)
+        shares = {}
+        for batch in stream_for(small_system, rate=0.2).windows(6):
+            report = service.process_window(batch)
+            if report.tasks:
+                # Compaction runs before the window's evaluator is built
+                # and the commit after it.
+                committed = service.ledger.active - batch.count
+                shares[batch.index] = committed / (committed + batch.count)
+                assert report.reuse_rate == shares[batch.index]
+        obs.flush()
+        assert any(share > 0 for share in shares.values())
+
+        spans = [
+            json.loads(line)
+            for line in (tmp_path / "trace.jsonl").read_text().splitlines()
+        ]
+        # A window's span is filed after its batch spans.
+        batches, by_window = [], {}
+        for span in spans:
+            if span["name"] == "evaluator.batch":
+                batches.append(span["attrs"])
+            elif span["name"] == "service.window":
+                by_window[span["attrs"]["index"]] = batches
+                batches = []
+        assert set(index for index, b in by_window.items() if b) == set(shares)
+        for index, share in shares.items():
+            assert all(b["reuse_rate"] == share for b in by_window[index])
+
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        rows = sum(b["rows"] for window in by_window.values() for b in window)
+        assert rows > 0
+        assert metrics["evaluator_chromosomes_total"]["value"] == rows
+
     def test_dispatch_decision_events(self, small_system, tmp_path):
         """One ``dispatch.decision`` event per busy window, carrying the
         chosen point and the rule that chose it."""

@@ -238,9 +238,10 @@ class TestWindowEvaluator:
         C, F = warm_ev.committed, warm_ev.num_tasks
         assert C > 0
         for ev in (warm_ev, cold_ev):
-            assert ev.elements_total == 8 * (C + F)
-            assert ev.elements_reused == 8 * C
-            assert ev.reuse_rate == C / (C + F)
+            stats = ev.cache_stats
+            assert stats["elements_total"] == 8 * (C + F)
+            assert stats["elements_reused"] == 8 * C
+            assert stats["reuse_rate"] == C / (C + F)
 
     def test_stale_epoch_reuse_rejected(self, small_system):
         stream = stream_for(small_system, rate=0.3)

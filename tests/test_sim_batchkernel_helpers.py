@@ -16,20 +16,17 @@ would show:
   replaced, compared as bytes.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from oracles import batch_reference_row
 from repro.sim.batchkernel import (
-    BatchQueueKernel,
     SortScratch,
     _column_left_folds,
     _segment_key_sums,
     queue_order,
 )
-from repro.sim.evaluator import ScheduleEvaluator
+from repro.sim.evaluator import EvaluatorArrays, ScheduleEvaluator
 from repro.utility.intervals import DecayShape
 from repro.utility.presets import default_catalog
 from repro.utility.tuf import SEGMENT_KIND, TimeUtilityFunction
@@ -196,38 +193,29 @@ class _ConstantUtility:
         return self.values[idx]
 
 
-def kernel_bindings(ev, tuf_table):
-    return SimpleNamespace(
-        _etc_flat=ev._etc_flat, _eec_flat=ev._eec_flat,
-        _arrivals=ev._arrivals, _task_types=ev._task_types,
-        _tuf_table=tuf_table, _queue_groups=ev._queue_groups,
-        _num_queues=ev._num_queues, num_machines=ev.num_machines,
-        num_tasks=ev.num_tasks,
-    )
-
-
 class TestSignedZeroUtilities:
     @pytest.mark.parametrize(
         "values", [[-0.0], [0.0, -0.0], [-0.0, 0.0, -0.0]]
     )
     def test_totals_equal_oracle_as_bytes(self, small_system, small_trace,
                                           values):
-        ev = ScheduleEvaluator(small_system, small_trace,
-                               check_feasibility=False)
-        bindings = kernel_bindings(ev, _ConstantUtility(values))
-        kernel = BatchQueueKernel(bindings)
+        ev = ScheduleEvaluator(
+            small_system, small_trace, check_feasibility=False,
+            precomputed=EvaluatorArrays.gather(
+                small_system, small_trace.task_types,
+                _ConstantUtility(values),
+            ),
+        )
         rng = np.random.default_rng(8)
         T = small_trace.num_tasks
         assignments = rng.integers(0, small_system.num_machines, size=(6, T))
         assignments[0] = 0  # one queue holds every task
         orders = np.array([rng.permutation(T) for _ in range(6)])
         for _ in range(2):  # cold, then served from the queue table
-            energies, utilities = kernel.evaluate_population(
-                assignments, orders
-            )
+            energies, utilities = ev.evaluate_batch(assignments, orders)
             for row in range(6):
                 e_ref, u_ref, _ = batch_reference_row(
-                    bindings, assignments[row], orders[row]
+                    ev, assignments[row], orders[row]
                 )
                 assert utilities[row:row + 1].tobytes() == \
                     np.array([u_ref]).tobytes()

@@ -120,6 +120,17 @@ class TestValidation:
         with pytest.raises(ScheduleError):
             ev.evaluate(bad)
 
+    @pytest.mark.parametrize("bad", [-1, 99])
+    def test_batch_machine_out_of_range(self, tiny_evaluator, tiny_trace,
+                                        bad):
+        T = tiny_trace.num_tasks
+        assignments = np.zeros((2, T), dtype=np.int64)
+        assignments[1, T - 1] = bad
+        with pytest.raises(ScheduleError, match="out of range"):
+            tiny_evaluator.evaluate_batch(
+                assignments, np.tile(np.arange(T), (2, 1))
+            )
+
     def test_batch_shape_validation(self, tiny_evaluator):
         with pytest.raises(ScheduleError):
             tiny_evaluator.evaluate_batch(

@@ -20,6 +20,7 @@ from repro.core.operators import FeasibleMachines
 from repro.errors import ScheduleError
 from repro.sim.batchkernel import (
     FoldPool,
+    QueuePrefix,
     QueueStateTable,
     SortScratch,
     fold_queues,
@@ -149,6 +150,84 @@ class TestCacheTransparency:
             e, u = ev.evaluate_batch(assignments[lo:hi], orders[lo:hi])
             np.testing.assert_array_equal(e, e_all[lo:hi])
             np.testing.assert_array_equal(u, u_all[lo:hi])
+
+
+class TestSeededCache:
+    """Prefix-seeded queues served from the cache equal the same queues
+    folded afresh, and the fold over the whole horizon."""
+
+    def test_cached_equals_uncached_and_horizon(self, small_system,
+                                                small_trace):
+        from repro.service.stream import WindowBatch
+        from repro.service.window import CommittedLedger, PrefixState
+        from repro.utility.vectorized import TUFTable
+        from repro.workload.trace import Trace
+
+        # The first C tasks are committed; the rest are free.
+        T = small_trace.num_tasks
+        C = T // 2
+        committed_a, committed_o = make_batch(small_system, small_trace, 1, 3)
+        committed_a = committed_a[0, :C]
+        committed_o = np.argsort(committed_o[0, :C])
+        ledger = CommittedLedger()
+        ledger.commit(
+            WindowBatch(index=0, start=0.0, end=small_trace.window,
+                        task_types=small_trace.task_types[:C],
+                        arrival_times=small_trace.arrival_times[:C]),
+            committed_a, committed_o, np.zeros(C), np.zeros(C), np.zeros(C),
+        )
+        state = PrefixState.empty(small_system.num_machines, 0).advance(
+            small_system, ledger, TUFTable.from_system(small_system)
+        )
+        prefix = QueuePrefix(state.seed, C, energy_offset=125.5,
+                             utility_offset=3.25)
+        free = Trace(task_types=small_trace.task_types[C:],
+                     arrival_times=small_trace.arrival_times[C:],
+                     window=small_trace.window)
+        cached = make_evaluator(small_system, free, prefix=prefix)
+        uncached = make_evaluator(small_system, free, prefix=prefix,
+                                  cache_size=0)
+        horizon = make_evaluator(small_system, small_trace, cache_size=0)
+
+        # Repeated batches over a small pool of rows, with single-gene
+        # variations, so seeded queue states are hit.
+        pool_a, pool_o = make_batch(small_system, free, 6, 4)
+        # Half the rows use two machines, so the other queues are empty
+        # and contribute the prefix partials (every machine is feasible
+        # for every type here).
+        pool_a[::2] %= 2
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            pick = rng.integers(0, 6, size=12)
+            a, o = pool_a[pick].copy(), pool_o[pick].copy()
+            rows = rng.integers(0, 12, size=4)
+            o[rows, 0] = o[rows, -1]
+            e, u = cached.evaluate_batch(a, o)
+            e0, u0 = uncached.evaluate_batch(a, o)
+            ref_e, ref_u = horizon.evaluate_batch(
+                np.hstack([np.tile(committed_a, (12, 1)), a]),
+                np.hstack([np.tile(committed_o, (12, 1)), o + C]),
+            )
+            for got in (e, e0):
+                assert got.tobytes() == (ref_e + 125.5).tobytes()
+            for got in (u, u0):
+                assert got.tobytes() == (ref_u + 3.25).tobytes()
+        stats = cached.cache_stats
+        assert stats["hits"] > 0
+        assert stats["elements_reused"] > 4 * 12 * C
+        assert uncached.cache_stats["elements_reused"] == 4 * 12 * C
+
+        # The single-row path continues from the same prefix.
+        full = cached.evaluate(ResourceAllocation(a[0], o[0]))
+        ref = horizon.evaluate(ResourceAllocation(
+            np.concatenate([committed_a, a[0]]),
+            np.concatenate([committed_o, o[0] + C]),
+        ))
+        assert full.energy == e[0] and full.utility == u[0]
+        np.testing.assert_array_equal(full.completion_times,
+                                      ref.completion_times[C:])
+        np.testing.assert_array_equal(full.task_utilities,
+                                      ref.task_utilities[C:])
 
 
 # -- cache mechanics ----------------------------------------------------------
