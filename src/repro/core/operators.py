@@ -238,15 +238,20 @@ class VariationOperators:
         lo = np.minimum(cuts[:, 0], cuts[:, 1])
         hi = np.maximum(cuts[:, 0], cuts[:, 1])
         # All n_ops swaps at once: a (n_ops, T) mask marks the swapped
-        # gene range of each operation, and np.where picks the donor.
-        pa = parents[:, 0]
-        pb = parents[:, 1]
+        # gene range of each operation.  One interleaved row gather
+        # copies the parents (rows pa0, pb0, pa1, pb1, ...; the indices
+        # are in range, so mode="clip" only skips NumPy's output
+        # buffer), then each pair trades its masked range in place.
         cols = np.arange(T)[None, :]
         swap = (cols >= lo[:, None]) & (cols < hi[:, None])
-        child_assign[0::2] = np.where(swap, assignments[pb], assignments[pa])
-        child_assign[1::2] = np.where(swap, assignments[pa], assignments[pb])
-        child_order[0::2] = np.where(swap, orders[pb], orders[pa])
-        child_order[1::2] = np.where(swap, orders[pa], orders[pb])
+        rows = parents.reshape(-1)
+        for parent, child in ((assignments, child_assign),
+                              (orders, child_order)):
+            np.take(np.asarray(parent, dtype=np.int64), rows, axis=0,
+                    out=child, mode="clip")
+            first = child[0::2].copy()
+            np.copyto(child[0::2], child[1::2], where=swap)
+            np.copyto(child[1::2], first, where=swap)
         if n_offspring is not None:
             child_assign = child_assign[:n_offspring]
             child_order = child_order[:n_offspring]

@@ -14,8 +14,8 @@ and writes a self-contained artifact directory:
 
 This is the paper-scale entry point: ``reproduce_all(out, scale=1.0)``
 reruns everything at the original generation counts (hours); the
-default scale finishes in about a minute.  Also exposed as
-``repro-analyze reproduce-all``.
+default scale (0.002) took 304 s serial and 189 s with ``--workers 2``
+on a 2-CPU Intel Xeon.  Also exposed as ``repro-analyze reproduce-all``.
 """
 
 from __future__ import annotations

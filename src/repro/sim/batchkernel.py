@@ -573,11 +573,15 @@ class BatchQueueKernel:
     ) -> np.ndarray:
         """Joint (symbol, order-key) 64-bit mixes, one per element."""
         out = self._u64[0][:n]
-        np.take(self._r_sym, sym, out=out)
+        # mode="clip": see evaluate_population; symbols are in range
+        # because the machine indices are, and the order keys are
+        # range-checked just below.
+        np.take(self._r_sym, sym, out=out, mode="clip")
         omin = int(flat_order.min())
         omax = int(flat_order.max())
         if 0 <= omin and omax < self._ord_cap:
-            ho = np.take(self._r_ord, flat_order, out=self._u64[1][:n])
+            ho = np.take(self._r_ord, flat_order, out=self._u64[1][:n],
+                         mode="clip")
             np.multiply(out, ho, out=out)
         else:
             # Arbitrary int64 order keys: full arithmetic mix, forced
@@ -603,8 +607,13 @@ class BatchQueueKernel:
         self._ensure(N)
         flat_m = assignments.reshape(-1)
         flat_o = orders.reshape(-1)
-        # seg id = row * Mq + queue(machine); symbol = task * M + machine
-        q = self.qg.take(flat_m, out=self._i64[0][:n])
+        # seg id = row * Mq + queue(machine); symbol = task * M + machine.
+        # Gathers into scratch pass mode="clip": under the default
+        # mode="raise" NumPy buffers the output, about twice the cost
+        # on large batches.  Clipping never changes a value here:
+        # every caller validates the machine indices first
+        # (ScheduleEvaluator._checked_batch), so none is out of range.
+        q = self.qg.take(flat_m, out=self._i64[0][:n], mode="clip")
         seg = np.add(q, self._rows_mq[:n], out=self._i64[0][:n])
         sym = np.add(self._cols_m[:n], flat_m, out=self._i64[1][:n])
 

@@ -148,8 +148,8 @@ def render_gantt(
     legend_parts = []
     for k in range(marks):
         t = makespan * k / (marks - 1)
-        c = cell(t)
-        ruler[min(c, width - 1)] = "+"
+        # Integer placement: cell(t) can round one cell low.
+        ruler[min(k * width // (marks - 1), width - 1)] = "+"
         legend_parts.append(f"+={t:.0f}s")
     lines.append(f"{'time':<{label_width}}|{''.join(ruler)}|")
     lines.append(

@@ -14,6 +14,8 @@ results from both.
   ``evaluate_batch`` answers every row from :func:`batch_reference_row`.
 * :func:`simulate_reference` — the schedule semantics straight from
   the paper's prose, one machine and one task at a time.
+* :func:`reference_crossover` — the range-swap crossover as one
+  ``np.where`` per child half, from fresh parent-row gathers.
 
 The benchmarks load this file by path (``benchmarks/`` has its own
 ``conftest.py``, so ``tests/`` must never come first on ``sys.path``).
@@ -27,6 +29,7 @@ import numpy as np
 
 from repro.core.crowding import crowding_truncate
 from repro.core.nsga2 import NSGA2, EpsilonArchiveNSGA2
+from repro.core.operators import repair_orders
 from repro.core.population import Population
 from repro.core.sorting import fast_nondominated_sort, fronts_from_ranks
 from repro.errors import ScheduleError
@@ -43,6 +46,7 @@ __all__ = [
     "ReferenceResult",
     "ReferenceSelection",
     "batch_reference_row",
+    "reference_crossover",
     "simulate_reference",
 ]
 
@@ -215,3 +219,48 @@ def simulate_reference(
             )
         utility += float(tuf(finish[task] - trace.arrival_times[task]))
     return ReferenceResult(start, finish, energy, utility)
+
+
+def reference_crossover(
+    assignments: IntArray,
+    orders: IntArray,
+    rng: np.random.Generator,
+    parent_pairs: IntArray | None = None,
+    n_offspring: int | None = None,
+    repair_order: bool = False,
+) -> tuple[IntArray, IntArray]:
+    """:meth:`VariationOperators.crossover_population` with fresh
+    gathers: each child half is one ``np.where`` over the swap mask,
+    picking the donor parent's row.  Draws the same random numbers in
+    the same order, so a seeded run must give the same children."""
+    N, T = assignments.shape
+    if N < 2:
+        return assignments.copy(), orders.copy()
+    n_ops = N // 2 if n_offspring is None else (n_offspring + 1) // 2
+    child_assign = np.empty((2 * n_ops, T), dtype=np.int64)
+    child_order = np.empty((2 * n_ops, T), dtype=np.int64)
+    if parent_pairs is None:
+        parents = rng.integers(0, N, size=(n_ops, 2))
+    else:
+        parents = np.asarray(parent_pairs, dtype=np.int64)
+    cuts = rng.integers(0, T + 1, size=(n_ops, 2))
+    lo = np.minimum(cuts[:, 0], cuts[:, 1])
+    hi = np.maximum(cuts[:, 0], cuts[:, 1])
+    pa = parents[:, 0]
+    pb = parents[:, 1]
+    cols = np.arange(T)[None, :]
+    swap = (cols >= lo[:, None]) & (cols < hi[:, None])
+    child_assign[0::2] = np.where(swap, assignments[pb], assignments[pa])
+    child_assign[1::2] = np.where(swap, assignments[pa], assignments[pb])
+    child_order[0::2] = np.where(swap, orders[pb], orders[pa])
+    child_order[1::2] = np.where(swap, orders[pa], orders[pb])
+    if n_offspring is not None:
+        child_assign = child_assign[:n_offspring]
+        child_order = child_order[:n_offspring]
+    elif 2 * n_ops < N:
+        extra = int(rng.integers(0, N))
+        child_assign = np.vstack([child_assign, assignments[extra][None, :]])
+        child_order = np.vstack([child_order, orders[extra][None, :]])
+    if repair_order:
+        child_order = repair_orders(child_order)
+    return child_assign, child_order

@@ -14,7 +14,12 @@ from repro.analysis.export import (
 from repro.analysis.pareto_front import ParetoFront
 from repro.errors import AnalysisError, ScheduleError
 from repro.sim.evaluator import ScheduleEvaluator
-from repro.sim.gantt import gantt_entries, machine_timeline, render_gantt
+from repro.sim.gantt import (
+    GanttEntry,
+    gantt_entries,
+    machine_timeline,
+    render_gantt,
+)
 
 from conftest import random_allocation
 
@@ -121,6 +126,18 @@ class TestGantt:
         tl = machine_timeline(gantt, 0)
         starts = [e.start for e in tl]
         assert starts == sorted(starts)
+
+    @pytest.mark.parametrize("makespan", [3.3, 0.7, 100.0, 1911.25])
+    def test_ruler_marks_land_on_quarter_columns(self, makespan):
+        # 3.3 and 0.7 are makespans at which makespan * 3/4 / makespan
+        # rounds below 0.75, which once drew the 3/4 mark at column 74.
+        gantt = [GanttEntry(task=0, machine=0, start=0.0, finish=makespan,
+                            idle_before=0.0)]
+        ruler = render_gantt(gantt, width=100).splitlines()[-2]
+        cells = ruler[ruler.index("|") + 1:-1]
+        assert [c for c, ch in enumerate(cells) if ch == "+"] == [
+            0, 25, 50, 75, 99
+        ]
 
     def test_validation(self, tiny_system, tiny_trace):
         gantt = gantt_of(tiny_system, tiny_trace, seed=4)

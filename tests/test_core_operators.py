@@ -14,6 +14,7 @@ from repro.errors import OptimizationError
 from repro.workload.trace import Trace
 
 from conftest import make_tiny_system
+from oracles import reference_crossover
 from test_model_system import make_special_system
 
 
@@ -153,6 +154,98 @@ class TestCrossover:
             assign, orders = ops.mutate_population(assign, orders, rng)
         for row in orders:
             np.testing.assert_array_equal(np.sort(row), np.arange(4))
+
+
+class _ScriptedRng:
+    """Answers ``integers`` calls from a fixed list, so a test can force
+    particular parents and cut points on both implementations."""
+
+    def __init__(self, draws):
+        self._draws = list(draws)
+
+    def integers(self, low, high, size=None):
+        value = np.asarray(self._draws.pop(0))
+        assert np.all((low <= value) & (value < high))
+        return value if size is not None else int(value)
+
+
+class TestCrossoverOracleParity:
+    """The one-gather, in-place crossover equals the np.where oracle bit
+    for bit and leaves its parents untouched."""
+
+    T = 9
+
+    def parents(self, N, seed=0):
+        rng = np.random.default_rng(seed)
+        assign = rng.integers(0, 5, size=(N, self.T))
+        orders = rng.integers(-3, 40, size=(N, self.T))
+        return assign, orders
+
+    def check(self, N, rng_factory, repair=False, **kwargs):
+        assign, orders = self.parents(N)
+        a0, o0 = assign.copy(), orders.copy()
+        ops = VariationOperators(
+            special_feasible()[2], OperatorConfig(repair_order=repair)
+        )
+        got = ops.crossover_population(assign, orders, rng_factory(), **kwargs)
+        want = reference_crossover(
+            a0, o0, rng_factory(), repair_order=repair, **kwargs
+        )
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(assign, a0)
+        np.testing.assert_array_equal(orders, o0)
+        return got
+
+    @pytest.mark.parametrize("N", [2, 7, 10])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_generational(self, N, seed):
+        self.check(N, lambda: np.random.default_rng(seed))
+
+    def test_odd_population_clone(self):
+        ca, _ = self.check(
+            5, lambda: _ScriptedRng([[[0, 1], [2, 3]], [[1, 4], [0, 9]], 4])
+        )
+        assert ca.shape == (5, self.T)
+        np.testing.assert_array_equal(ca[4], self.parents(5)[0][4])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_steady_state_one_offspring(self, seed):
+        ca, co = self.check(
+            6, lambda: np.random.default_rng(seed), n_offspring=1
+        )
+        assert ca.shape == co.shape == (1, self.T)
+
+    def test_explicit_parent_pairs(self):
+        pairs = np.array([[3, 3], [0, 5], [5, 1]])
+        self.check(
+            6, lambda: _ScriptedRng([[[2, 6], [7, 1], [4, 4]]]),
+            parent_pairs=pairs,
+        )
+
+    def test_empty_range_copies_parents(self):
+        assign, orders = self.parents(4)
+        ca, co = self.check(
+            4, lambda: _ScriptedRng([[[2, 1], [0, 3]], [[5, 5], [0, 0]]])
+        )
+        np.testing.assert_array_equal(ca, assign[[2, 1, 0, 3]])
+        np.testing.assert_array_equal(co, orders[[2, 1, 0, 3]])
+
+    def test_full_range_swaps_whole_rows(self):
+        assign, orders = self.parents(4)
+        T = self.T
+        ca, co = self.check(
+            4, lambda: _ScriptedRng([[[2, 1], [0, 3]], [[0, T], [T, 0]]])
+        )
+        np.testing.assert_array_equal(ca, assign[[1, 2, 3, 0]])
+        np.testing.assert_array_equal(co, orders[[1, 2, 3, 0]])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_repair_order(self, seed):
+        _, co = self.check(7, lambda: np.random.default_rng(seed), repair=True)
+        for row in co:
+            np.testing.assert_array_equal(np.sort(row), np.arange(self.T))
 
 
 class TestMutation:

@@ -131,6 +131,40 @@ class TestValidation:
                 assignments, np.tile(np.arange(T), (2, 1))
             )
 
+    @pytest.mark.parametrize("kind", ["cached", "uncached", "window",
+                                      "makespan"])
+    @pytest.mark.parametrize("bad", ["negative", "num_machines"])
+    def test_validation_guards_clipped_gathers(self, small_system,
+                                               small_trace, kind, bad):
+        """The kernel gathers with mode="clip", so an invalid machine
+        index must be stopped by validation on every evaluator, with
+        the cache on or off, and never be clipped into range."""
+        from repro.service.window import CommittedLedger, WindowEvaluator
+        from repro.sim.makespan import MakespanEnergyEvaluator
+        from test_service_window_fold import busy_batches, stream_for
+
+        task_types = small_trace.task_types
+        if kind == "cached":
+            ev = ScheduleEvaluator(small_system, small_trace, cache_size=64)
+        elif kind == "uncached":
+            ev = ScheduleEvaluator(small_system, small_trace, cache_size=0)
+        elif kind == "window":
+            batch = busy_batches(stream_for(small_system), 1)[0]
+            ev = WindowEvaluator(small_system, CommittedLedger(), batch)
+            task_types = batch.task_types
+        else:
+            ev = MakespanEnergyEvaluator(small_system, small_trace)
+        T = len(task_types)
+        feasible = small_system.feasible_task_machine[task_types]
+        assignments = np.tile(np.argmax(feasible, axis=1), (3, 1))
+        orders = np.tile(np.arange(T), (3, 1))
+        ev.evaluate_batch(assignments, orders)
+        assignments[1, T - 1] = (
+            -1 if bad == "negative" else small_system.num_machines
+        )
+        with pytest.raises(ScheduleError, match="out of range"):
+            ev.evaluate_batch(assignments, orders)
+
     def test_batch_shape_validation(self, tiny_evaluator):
         with pytest.raises(ScheduleError):
             tiny_evaluator.evaluate_batch(
