@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.operators import FeasibleMachines
-from repro.core.population import Population
+from repro.core.population import Population, int32_genes
 from repro.errors import OptimizationError
 from repro.rng import SeedLike, ensure_rng
 from repro.sim.schedule import ResourceAllocation
@@ -58,8 +58,14 @@ def seeded_initial_population(
                 f"seed {row} covers {seed.num_tasks} tasks; the trace has "
                 f"{feasible.num_tasks}"
             )
-        population.assignments[row] = seed.machine_assignment
-        population.orders[row] = seed.scheduling_order
+    if seeds:
+        k = len(seeds)
+        population.assignments[:k] = int32_genes(
+            np.stack([seed.machine_assignment for seed in seeds])
+        )
+        population.orders[:k] = int32_genes(
+            np.stack([seed.scheduling_order for seed in seeds])
+        )
     return population
 
 

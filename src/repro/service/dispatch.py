@@ -320,8 +320,9 @@ class DispatchService:
         points, rows = algorithm.current_front()
         sel, rule = self._choose(points)
         row = int(rows[sel])
-        assignment = algorithm.population.assignments[row].copy()
-        order = algorithm.population.orders[row].copy()
+        population = algorithm.population
+        assignment = population.assignments[row].astype(np.int64)
+        order = population.orders[row].astype(np.int64)
 
         full = evaluator.evaluate_full(assignment, order)
         finishes = full.completion_times
@@ -338,11 +339,11 @@ class DispatchService:
 
         # Carryover for the next window: front rows first, then the
         # rest of the final population, all in free-gene space.
-        rest = np.ones(len(algorithm.population), dtype=bool)
+        rest = np.ones(len(population), dtype=bool)
         rest[rows] = False
         donor_rows = np.concatenate([rows, np.flatnonzero(rest)])
         self._prev_types = batch.task_types
-        self._prev_donors = algorithm.population.assignments[donor_rows].copy()
+        self._prev_donors = population.assignments[donor_rows].astype(np.int64)
         self._prefix = evaluator.prefix
         stats = evaluator.cache_stats
         self._elements_total += stats["elements_total"]

@@ -47,6 +47,21 @@ __all__ = [
     "ScheduleEvaluator",
 ]
 
+#: Gene dtypes evaluated as they come, each with the unsigned dtype of
+#: its width (the one-pass range check views the genes through it).
+_UNSIGNED = {
+    np.dtype(np.int32): np.dtype(np.uint32),
+    np.dtype(np.int64): np.dtype(np.uint64),
+}
+
+
+def _gene_array(values) -> IntArray:
+    """*values* as an int32 or int64 array, converting nothing else."""
+    arr = np.asarray(values)
+    if arr.dtype in _UNSIGNED:
+        return arr
+    return np.asarray(arr, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class EvaluationResult:
@@ -394,11 +409,15 @@ class ScheduleEvaluator:
     def _checked_batch(
         self, assignments: IntArray, orders: IntArray
     ) -> tuple[IntArray, IntArray]:
-        """The batch as validated int64 ``(N, T)`` arrays."""
+        """The batch as validated ``(N, T)`` int32 or int64 arrays.
+
+        int32 and int64 genes pass through without a widening copy;
+        any other dtype is converted to int64.
+        """
         if self.fault_hook is not None:
             self.fault_hook()
-        assignments = np.asarray(assignments, dtype=np.int64)
-        orders = np.asarray(orders, dtype=np.int64)
+        assignments = _gene_array(assignments)
+        orders = _gene_array(orders)
         if assignments.ndim != 2 or assignments.shape != orders.shape:
             raise ScheduleError(
                 f"batch arrays must be equal-shape 2-D; got {assignments.shape} "
@@ -412,7 +431,8 @@ class ScheduleEvaluator:
         if N == 0:
             return assignments, orders
         # One pass: negative indices wrap to huge unsigned values.
-        if int(assignments.view(np.uint64).max()) >= self.num_machines:
+        unsigned = _UNSIGNED[assignments.dtype]
+        if int(assignments.view(unsigned).max()) >= self.num_machines:
             raise ScheduleError("batch references machine indices out of range")
         if self.check_feasibility:
             ok = self._feasible_rows[

@@ -43,8 +43,17 @@ class _ZeroUtility:
     """
 
     @staticmethod
-    def evaluate(task_types: IntArray, elapsed: FloatArray) -> FloatArray:
-        return np.zeros(np.asarray(elapsed).shape)
+    def evaluate(
+        task_types: IntArray, elapsed: FloatArray, scratch=None
+    ) -> FloatArray:
+        """All-zero utilities, in *scratch* when given (as the TUF
+        table's are)."""
+        shape = np.shape(elapsed)
+        if scratch is None:
+            return np.zeros(shape)
+        out = scratch.get("tuf_value", int(np.prod(shape)), np.float64)
+        out.fill(0.0)
+        return out.reshape(shape)
 
 
 class MakespanEnergyEvaluator(ScheduleEvaluator):

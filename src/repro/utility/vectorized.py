@@ -149,9 +149,12 @@ class TUFTable:
             if np.isinf(col).all():
                 break
             cols.append(col)
-        return (tuple(cols), Ke, bp.ravel(), sv.ravel(), rt.ravel(), kd.ravel())
+        return (tuple(cols), Ke, bp.ravel(), sv.ravel(), rt.ravel(),
+                kd.ravel().astype(np.int8))
 
-    def evaluate(self, task_types: IntArray, elapsed: FloatArray) -> FloatArray:
+    def evaluate(
+        self, task_types: IntArray, elapsed: FloatArray, scratch=None
+    ) -> FloatArray:
         """Utility for each task given its type and elapsed completion time.
 
         Parameters
@@ -160,48 +163,82 @@ class TUFTable:
             ``(T,)`` int array of task-type indices.
         elapsed:
             ``(T,)`` float array of ``completion − arrival`` seconds.
+        scratch:
+            Optional :class:`~repro.sim.batchkernel.KernelScratch` (the
+            queue fold's): the work buffers and the result come from
+            it, so the result is valid until the next call on that
+            scratch, and *elapsed* is overwritten (it is the work
+            buffer).  ``None`` allocates fresh buffers and leaves
+            *elapsed* alone.
 
         Returns
         -------
         ``(T,)`` float array of utilities.
         """
         task_types = np.asarray(task_types, dtype=np.int64)
-        t = np.array(elapsed, dtype=np.float64)  # never the caller's buffer
-        if task_types.shape != t.shape:
+        elapsed = np.asarray(elapsed, dtype=np.float64)
+        if task_types.shape != elapsed.shape:
             raise UtilityFunctionError(
                 f"task_types shape {task_types.shape} does not match elapsed "
-                f"shape {t.shape}"
+                f"shape {elapsed.shape}"
             )
-        shape = t.shape
+        shape = elapsed.shape
         task_types = task_types.reshape(-1)
-        t = t.reshape(-1)
-        np.maximum(t, 0.0, out=t)
+        n = task_types.shape[0]
+        if scratch is None:
+            from repro.sim.batchkernel import KernelScratch
+
+            # The gathers below clip; only the kernel's callers (whose
+            # trace types are validated) skip this range check.
+            if n and not (0 <= task_types.min()
+                          and task_types.max() < self.num_types):
+                raise UtilityFunctionError(
+                    f"task types must lie in [0, {self.num_types})"
+                )
+            scratch = KernelScratch()
+            # ``t`` is then this call's own buffer, never the caller's.
+            t = np.maximum(elapsed.reshape(-1), 0.0)
+        else:
+            t = np.maximum(elapsed.reshape(-1), 0.0,
+                           out=elapsed.reshape(-1))
+        # ``t`` becomes rate·dt in place below.
+        gathered = scratch.get("tuf_gather", n, np.float64)
+        below = scratch.get("tuf_mask", n, bool)
         cols, Ke, bp_flat, sv_flat, rt_flat, kd_flat = self._fast
         # Flat table index = type × Ke + segment, the segment being the
         # count of breakpoints <= t, accumulated in place one
         # (num_types,)-gathered column at a time — no (n, K) temporary.
         # The folded-in tail segment makes end-of-life a search result.
-        lin = task_types * Ke
+        # Gathers pass mode="clip" (unbuffered): every index is a valid
+        # type or table entry by construction.
+        lin = np.multiply(task_types, Ke, out=scratch.get("tuf_lin", n))
         for col in cols:
-            lin += col.take(task_types) <= t
-        # ``t`` is this call's own buffer: it becomes rate·dt in place.
-        rdt = np.subtract(t, bp_flat.take(lin), out=t)
-        np.multiply(rt_flat.take(lin), rdt, out=rdt)
-        kind = kd_flat.take(lin)
-        value = sv_flat.take(lin)
+            col.take(task_types, out=gathered, mode="clip")
+            lin += np.less_equal(gathered, t, out=below)
+        rdt = np.subtract(t, bp_flat.take(lin, out=gathered, mode="clip"),
+                          out=t)
+        np.multiply(rt_flat.take(lin, out=gathered, mode="clip"), rdt,
+                    out=rdt)
+        kind = kd_flat.take(lin, out=scratch.get("tuf_kind", n, np.int8),
+                            mode="clip")
+        value = sv_flat.take(lin, out=scratch.get("tuf_value", n,
+                                                  np.float64),
+                             mode="clip")
         # Constant segments keep v0; linear ones take v0 − rate·dt and
         # exponential ones v0·exp(−rate·dt).  No boolean gathers: the
         # linear formula is a masked subtract, and exp runs over the
         # whole buffer in place (one vector pass beats a masked one)
         # with every non-exponential factor then set to exactly 1.0.
-        np.subtract(value, rdt, out=value, where=kind == _KIND_LIN)
-        not_exp = kind != _KIND_EXP
+        np.subtract(value, rdt, out=value,
+                    where=np.equal(kind, _KIND_LIN, out=below))
+        not_exp = np.not_equal(kind, _KIND_EXP, out=below)
         if not not_exp.all():
             np.negative(rdt, out=rdt)
             np.exp(rdt, out=rdt)
             np.putmask(rdt, not_exp, 1.0)
             value *= rdt
-        np.maximum(value, self.tail_floors.take(task_types), out=value)
+        floors = self.tail_floors.take(task_types, out=gathered, mode="clip")
+        np.maximum(value, floors, out=value)
         return value.reshape(shape)
 
     def utility_upper_bound(self, task_types: IntArray) -> float:

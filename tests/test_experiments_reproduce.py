@@ -46,6 +46,16 @@ class TestReproduceAll:
         assert "base seed: 5" in manifest
         assert "total wall time" in manifest
 
+    def test_manifest_records_timing_context(self, artifacts):
+        """Each figure's wall time, the worker count and the CPU count,
+        so a recorded reproduction time says what it ran on."""
+        out, _ = artifacts
+        lines = (out / "MANIFEST.txt").read_text().splitlines()
+        assert any(line.startswith("workers: 0 (CPUs: ") for line in lines)
+        for fig in ("figure3", "figure4", "figure6"):
+            (line,) = [x for x in lines if x.startswith(f"{fig}.json")]
+            assert "; wall time " in line and line.endswith(" s")
+
     def test_progress_reported(self, artifacts):
         _, messages = artifacts
         assert any("figure3" in m for m in messages)

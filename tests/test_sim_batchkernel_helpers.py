@@ -21,7 +21,7 @@ import pytest
 
 from oracles import batch_reference_row
 from repro.sim.batchkernel import (
-    SortScratch,
+    KernelScratch,
     _column_left_folds,
     _segment_key_sums,
     queue_order,
@@ -110,7 +110,7 @@ class TestQueueOrder:
         group, key = queue_order_cases()[case]
         group = group.astype(np.int64)
         key = key.astype(np.int64)
-        scratch = SortScratch() if with_scratch else None
+        scratch = KernelScratch() if with_scratch else None
         got = queue_order(group, key, scratch)
         np.testing.assert_array_equal(got, np.lexsort((key, group)))
 
@@ -118,15 +118,44 @@ class TestQueueOrder:
         """The permutation must not alias the scratch pool that the
         next call (or the caller's own gathers) overwrite."""
         group, key = queue_order_cases()["composite"]
-        scratch = SortScratch()
+        scratch = KernelScratch()
         first = queue_order(group, key, scratch)
         expected = first.copy()
         queue_order(group[::-1].copy(), key, scratch)
         np.testing.assert_array_equal(first, expected)
 
     def test_single_element(self):
-        got = queue_order(np.array([5]), np.array([-3]), SortScratch())
+        got = queue_order(np.array([5]), np.array([-3]), KernelScratch())
         assert got.tolist() == [0]
+
+    @pytest.mark.parametrize("with_scratch", [False, True])
+    def test_int32_keys_past_2_31(self, with_scratch):
+        """int32 genes: ``(group − min) × key range + (key − min)`` runs
+        past 2³¹ here, so any int32 step in the composite arithmetic
+        would wrap.  The order must equal the int64 result."""
+        rng = np.random.default_rng(5)
+        n = 3000
+        group = rng.integers(0, 50, size=n)
+        key = rng.integers(-(2**31), 2**31, size=n)
+        key[:2] = [-(2**31), 2**31 - 1]  # the full int32 key range
+        scratch = KernelScratch() if with_scratch else None
+        expected = queue_order(group, key)
+        got = queue_order(group.astype(np.int32), key.astype(np.int32),
+                          scratch)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(got, np.lexsort((key, group)))
+
+    def test_index_and_out(self):
+        """With *index* the result holds those positions in queue order,
+        written to *out* when given."""
+        group, key = queue_order_cases()["composite"]
+        index = np.flatnonzero(np.arange(2 * group.size) % 2)
+        out = np.empty(group.size, dtype=np.int64)
+        got = queue_order(group, key, KernelScratch(), index=index, out=out)
+        assert got is out
+        np.testing.assert_array_equal(
+            got, index[np.lexsort((key, group))]
+        )
 
 
 # -- per-queue utility/energy folds ------------------------------------------
@@ -188,7 +217,7 @@ class _ConstantUtility:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=np.float64)
 
-    def evaluate(self, task_types, elapsed):
+    def evaluate(self, task_types, elapsed, scratch=None):
         idx = np.asarray(task_types) % self.values.size
         return self.values[idx]
 

@@ -138,7 +138,9 @@ class TestValidation:
                                                small_trace, kind, bad):
         """The kernel gathers with mode="clip", so an invalid machine
         index must be stopped by validation on every evaluator, with
-        the cache on or off, and never be clipped into range."""
+        the cache on or off, for int64 and int32 genes alike (the
+        unsigned view must match the gene width), and never be clipped
+        into range."""
         from repro.service.window import CommittedLedger, WindowEvaluator
         from repro.sim.makespan import MakespanEnergyEvaluator
         from test_service_window_fold import busy_batches, stream_for
@@ -156,14 +158,16 @@ class TestValidation:
             ev = MakespanEnergyEvaluator(small_system, small_trace)
         T = len(task_types)
         feasible = small_system.feasible_task_machine[task_types]
-        assignments = np.tile(np.argmax(feasible, axis=1), (3, 1))
-        orders = np.tile(np.arange(T), (3, 1))
-        ev.evaluate_batch(assignments, orders)
-        assignments[1, T - 1] = (
-            -1 if bad == "negative" else small_system.num_machines
-        )
-        with pytest.raises(ScheduleError, match="out of range"):
+        for dtype in (np.int64, np.int32):
+            assignments = np.tile(np.argmax(feasible, axis=1), (3, 1))
+            assignments = assignments.astype(dtype)
+            orders = np.tile(np.arange(T, dtype=dtype), (3, 1))
             ev.evaluate_batch(assignments, orders)
+            assignments[1, T - 1] = (
+                -1 if bad == "negative" else small_system.num_machines
+            )
+            with pytest.raises(ScheduleError, match="out of range"):
+                ev.evaluate_batch(assignments, orders)
 
     def test_batch_shape_validation(self, tiny_evaluator):
         with pytest.raises(ScheduleError):

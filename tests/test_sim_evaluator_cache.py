@@ -19,10 +19,9 @@ import pytest
 from repro.core.operators import FeasibleMachines
 from repro.errors import ScheduleError
 from repro.sim.batchkernel import (
-    FoldPool,
+    KernelScratch,
     QueuePrefix,
     QueueStateTable,
-    SortScratch,
     fold_queues,
     queue_order,
 )
@@ -326,18 +325,21 @@ class TestCacheMechanics:
 
 #: TUF stand-in: the fold tests pin finish times, not utilities.
 ZERO_TUF = SimpleNamespace(
-    evaluate=lambda task_types, elapsed: np.zeros(np.shape(elapsed))
+    evaluate=lambda task_types, elapsed, scratch=None: np.zeros(
+        np.shape(elapsed)
+    )
 )
 
 
 def fold_finish_times(group, order_key, arrivals, exec_times, use_pool=False):
     """Per-element finish times from :func:`fold_queues`, input order."""
     n = group.shape[0]
-    perm = queue_order(group, order_key, SortScratch() if use_pool else None)
+    scratch = KernelScratch() if use_pool else None
+    perm = queue_order(group, order_key, scratch)
     folds = fold_queues(
         group[perm], exec_times[perm], arrivals[perm],
         np.zeros(n, dtype=np.int64), np.zeros(n), ZERO_TUF,
-        pool=FoldPool() if use_pool else None,
+        scratch=scratch,
     )
     finish = np.empty(n)
     finish[perm] = folds.finish
