@@ -60,7 +60,7 @@ class ReferenceSelection:
     """
 
     def _parent_ranks(self) -> IntArray:
-        return fast_nondominated_sort(self.population.objectives, method="matrix")
+        return fast_nondominated_sort(self.objectives, method="matrix")
 
     def _environmental_selection(self, meta: Population) -> Population:
         N = self.config.population_size
