@@ -200,6 +200,7 @@ class VariationOperators:
         parent_pairs: IntArray | None = None,
         n_offspring: int | None = None,
         out: tuple[IntArray, IntArray] | None = None,
+        base_out: IntArray | None = None,
     ) -> tuple[IntArray, IntArray]:
         """Produce an offspring population via range-swap crossover.
 
@@ -218,6 +219,13 @@ class VariationOperators:
         ``2·ceil(k/2)`` rows, or N — and the children are returned as
         views of their leading rows.  Otherwise the children are fresh
         arrays of the parents' dtype.
+
+        *base_out*, when given, is an int64 array with room for every
+        child written; entry *i* receives the parent row child *i* was
+        copied from before its range swap (the clone's source for an
+        odd N).  The child differs from that *base parent* only inside
+        the swapped range, which is what lets the evaluator fingerprint
+        it as an edit of the parent's queues.
         """
         N, T = assignments.shape
         if N >= 2 and n_offspring is not None and n_offspring < 1:
@@ -235,6 +243,8 @@ class VariationOperators:
         if N < 2:
             child_assign[...] = assignments
             child_order[...] = orders
+            if base_out is not None:
+                base_out[:rows] = 0
             return child_assign, child_order
         if parent_pairs is None:
             parents = rng.integers(0, N, size=(n_ops, 2))
@@ -270,6 +280,8 @@ class VariationOperators:
             np.bitwise_xor(first, second, out=first, where=swap)
             np.bitwise_xor(second, first, out=second, where=swap)
             np.bitwise_xor(first, second, out=first, where=swap)
+        if base_out is not None:
+            base_out[:pairs] = rows_ix
         if n_offspring is not None:
             child_assign = child_assign[:n_offspring]
             child_order = child_order[:n_offspring]
@@ -278,6 +290,8 @@ class VariationOperators:
             extra = int(rng.integers(0, N))
             child_assign[pairs] = assignments[extra]
             child_order[pairs] = orders[extra]
+            if base_out is not None:
+                base_out[pairs] = extra
         if self.config.repair_order:
             child_order[...] = repair_orders(child_order)
         return child_assign, child_order
@@ -292,7 +306,9 @@ class VariationOperators:
     ) -> tuple[IntArray, IntArray]:
         """Mutate each offspring with the configured probability, in place.
 
-        Returns the (possibly same) arrays for chaining.
+        Returns the (possibly same) arrays for chaining.  A mutated child
+        keeps its base parent (see :meth:`crossover_population`): the
+        redrawn machine and the swapped order keys are a few more edits.
         """
         N, T = assignments.shape
         selected = np.flatnonzero(rng.random(N) < self.config.mutation_probability)

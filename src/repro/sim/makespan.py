@@ -22,10 +22,12 @@ makespan only counts the last finisher.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.model.system import SystemModel
-from repro.sim.batchkernel import DEFAULT_CACHE_SIZE
+from repro.sim.batchkernel import DEFAULT_CACHE_SIZE, RowBase
 from repro.sim.evaluator import EvaluatorArrays, ScheduleEvaluator
 from repro.sim.schedule import ResourceAllocation
 from repro.types import FloatArray, IntArray
@@ -93,15 +95,18 @@ class MakespanEnergyEvaluator(ScheduleEvaluator):
     # -- engine interface ---------------------------------------------------
 
     def _evaluate_batch_impl(
-        self, assignments: IntArray, orders: IntArray
+        self, assignments: IntArray, orders: IntArray,
+        base: Optional[RowBase] = None,
+        fingerprints: Optional[np.ndarray] = None,
     ) -> tuple[FloatArray, FloatArray]:
         """``(energy, -makespan)`` for each chromosome row: makespan is
         the per-row maximum of the queue folds' final finishes."""
-        assignments, orders = self._checked_batch(assignments, orders)
+        assignments, orders = self._checked_batch(assignments, orders, base)
         if not len(assignments):
             return (np.empty(0), np.empty(0))
         energies, _, finish = self._batch_kernel.evaluate_population(
-            assignments, orders, want_finish=True
+            assignments, orders, want_finish=True, base=base,
+            fingerprints=fingerprints,
         )
         return energies, -finish
 

@@ -149,10 +149,12 @@ class OracleEvaluator(ScheduleEvaluator):
     scalar oracle :func:`batch_reference_row`.
 
     Engines run on it exactly as on the production evaluator, so a
-    front computed on both must agree bit for bit.
+    front computed on both must agree bit for bit.  Edit bases are
+    ignored and no fingerprint is written (rows keep none).
     """
 
-    def evaluate_batch(self, assignments, orders):
+    def evaluate_batch(self, assignments, orders, base=None,
+                       fingerprints=None):
         rows = [batch_reference_row(self, a, o)
                 for a, o in zip(np.asarray(assignments), np.asarray(orders))]
         return (np.array([r[0] for r in rows], dtype=np.float64),

@@ -251,6 +251,8 @@ class TestEvaluatorCacheMetrics:
         assert _metric(metrics, "evaluator_cache_hits_total") == stats["hits"]
         assert (_metric(metrics, "evaluator_cache_misses_total")
                 == stats["misses"])
+        assert (_metric(metrics, "evaluator_elements_hashed_total")
+                == stats["elements_hashed"])
 
 
 class TestCliTrace:

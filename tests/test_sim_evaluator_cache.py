@@ -270,6 +270,7 @@ class TestCacheMechanics:
             "hit_rate": 0.5,
             "elements_total": 10 * T,
             "elements_reused": 5 * T,
+            "elements_hashed": 10 * T,
             "reuse_rate": 0.5,
         }
         ev.clear_cache()
